@@ -1,4 +1,4 @@
-.PHONY: all build test bench chaos crash partitions scaling queries procs soak doc bench-gate ci clean
+.PHONY: all build test bench chaos crash partitions scaling queries procs soak doc bench-gate same-series ci clean
 
 all: build
 
@@ -79,6 +79,12 @@ doc:
 # the queries figure's modeled warm-cache p99 may not regress.
 bench-gate:
 	sh scripts/bench_gate.sh
+
+# Behaviour-preserving refactors: build REV and the working tree, run every
+# bench figure (--tiny --seed 7 --json) in each, and diff the reports with
+# the wall-clock fields stripped. Usage: make same-series REV=<rev>.
+same-series:
+	sh scripts/same_series.sh $(REV)
 
 ci:
 	sh scripts/ci.sh

@@ -1,11 +1,10 @@
 (** Uniform interface over the three provenance maintenance schemes the
     evaluation compares: ExSPAN (uncompressed), Basic (§4), and Advanced
-    (§5, optionally with the §5.4 inter-class layout). *)
+    (§5, optionally with the §5.4 inter-class layout). Every scheme is a
+    {!Store} policy, so a backend is one store of any scheme. *)
 
-type t =
-  | Exspan of Store_exspan.t
-  | Basic of Store_basic.t
-  | Advanced of Store_advanced.t
+type t
+(** A store and the scheme it was made or restored as. *)
 
 type scheme = S_exspan | S_basic | S_advanced | S_advanced_interclass
 
@@ -22,6 +21,7 @@ val make :
     analysis ({!Dpc_analysis.Equi_keys.compute}) first. *)
 
 val name : t -> string
+(** {!scheme_name} of the backend's scheme. *)
 
 val nodes : t -> Dpc_engine.Node.t array
 (** The store's cluster; pass to [Runtime.create ~nodes] so the runtime
@@ -92,8 +92,9 @@ val checkpoint : t -> string
 val restore :
   scheme -> delp:Dpc_ndlog.Delp.t -> env:Dpc_engine.Env.t -> string -> t
 (** Rebuild a store from {!checkpoint} output. The scheme must match the
-    one the checkpoint was taken from.
-    @raise Dpc_util.Serialize.Corrupt on malformed or mismatched input. *)
+    one the checkpoint was taken from, including the Advanced layout.
+    @raise Dpc_util.Serialize.Corrupt on malformed or mismatched input,
+    including trailing bytes. *)
 
 val checkpoint_node : t -> int -> string
 (** Serialize one node's tables for its durable checkpoint (used by
@@ -109,7 +110,8 @@ val digest_node : t -> int -> string
 val restore_node : t -> int -> string -> unit
 (** Reload one node's tables after a {!Dpc_engine.Node.reset}, from
     {!checkpoint_node} output taken on the same scheme.
-    @raise Dpc_util.Serialize.Corrupt on malformed or mismatched input. *)
+    @raise Dpc_util.Serialize.Corrupt on malformed or mismatched input,
+    including trailing bytes. *)
 
 val set_dirty_tracking : t -> bool -> unit
 (** Enable per-node dirty-set tracking so {!checkpoint_delta} captures

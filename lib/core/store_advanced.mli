@@ -15,9 +15,23 @@
     path suffix — share rows.
 
     Slow-changing inserts (§5.5) clear [htequi] at every node receiving the
-    [sig] broadcast, forcing re-materialization of each class's chain. *)
+    [sig] broadcast, forcing re-materialization of each class's chain.
 
-type t
+    A {!Store} policy. Its node blobs carry the equivalence state
+    ([htequi]/[hmap], both ingress-local) after the row tables, and every
+    blob carries the layout flag after its magic; a delta records whether
+    [htequi] was wiped, the keys added since, and the full current ref list
+    of every [hmap] class that grew. Queries are the paper's QUERY (Fig
+    18): the prov deltas of the tuple, the shared chain(s), the input event
+    retrieved by [evid] at the leaf's node, and re-derivation upward;
+    candidate chains that fail re-derivation (possible under the §5.4
+    layout, where link rows of different trees may alternate) are
+    discarded. *)
+
+type node_state
+type conf
+
+type t = (conf, node_state) Store.t
 
 val create :
   delp:Dpc_ndlog.Delp.t ->
@@ -27,65 +41,9 @@ val create :
   nodes:int ->
   unit ->
   t
-(** Builds a fresh [nodes]-node cluster; per-node tables hang off each
-    {!Dpc_engine.Node.t} and row writes tick its [store.*] counters
-    (including [store.equi_hits]/[store.equi_misses] at ingress). *)
-
-val set_degraded_sink : t -> (int -> unit) -> unit
-(** Re-route the degraded-query tick: [f querier] runs instead of the
-    default increment of [crash.queries_degraded] on the querier's
-    volatile registry. Installed by the durable layer so the count
-    survives a crash of the querier (see [Durable.attach]). *)
-
-val nodes : t -> Dpc_engine.Node.t array
-(** The cluster owning all per-node state; pass to
-    [Runtime.create ~nodes] so the runtime shares it. *)
-
-val set_query_cache : t -> Query_cache.t option -> unit
-(** Attach (or detach, with [None]) the shared memoization cache — same
-    contract as {!Store_basic.set_query_cache}. The §5.5 [htequi] wipe in
-    [on_slow_update] additionally invalidates the flushed node's entries. *)
-
-val query_cache : t -> Query_cache.t option
-
-val hook : t -> Dpc_engine.Prov_hook.t
-
-val node_storage : t -> int -> Rows.storage
-val total_storage : t -> Rows.storage
-
-val classes_seen : t -> int
-(** Total distinct equivalence keys currently in the [htequi] tables. *)
-
-val orphan_outputs : t -> int
-(** Outputs that arrived with [existFlag = true] but found no [hmap] entry
-    (possible when a §5.5 reset races in-flight executions); their
-    provenance is not recorded, mirroring the paper's assumption that
-    updates quiesce before querying. *)
-
-val query :
-  t ->
-  cost:Query_cost.t ->
-  routing:Dpc_net.Routing.t ->
-  ?evid:Dpc_util.Sha1.t ->
-  ?up:(int -> bool) ->
-  Dpc_ndlog.Tuple.t ->
-  Query_result.t
-(** The paper's QUERY (Fig 18): fetch the prov deltas for the tuple,
-    recursively collect the shared chain(s), retrieve the input event by
-    [evid] at the leaf's node, and re-derive intermediate tuples upward.
-    Candidate chains that fail re-derivation (possible under the §5.4
-    layout, where link rows of different trees may alternate) are
-    discarded. [up] is the node-liveness predicate — a chain that reaches
-    a down node is abandoned after the bounded retry budget and the
-    result is marked [complete = false] (see {!Store_exspan.query}). *)
-
-val dump : t -> (string * string list * string list list) list
-(** Human-readable table contents [(name, header, rows)] — the shape of the
-    paper's Table 3 (or Table 4 under the inter-class layout). *)
-
-val checkpoint : t -> string
-(** Serialize the full store to bytes, including the equivalence tables
-    ([htequi]/[hmap]), so maintenance can also continue after a restore. *)
+(** Builds a fresh [nodes]-node cluster; row writes tick the node's
+    [store.*] counters, including [store.equi_hits]/[store.equi_misses]
+    at ingress. *)
 
 val restore :
   delp:Dpc_ndlog.Delp.t ->
@@ -93,36 +51,16 @@ val restore :
   keys:Dpc_analysis.Equi_keys.t ->
   string ->
   t
-(** Rebuild a store from {!checkpoint} output.
-    @raise Dpc_util.Serialize.Corrupt on malformed input, including an
-    inter-class/plain layout mismatch encoded in the blob. *)
+(** Rebuild a store from {!Store.checkpoint} output, in the layout the
+    blob records. Maintenance continues after a restore: the equivalence
+    tables and the orphan count travel with the checkpoint.
+    @raise Dpc_util.Serialize.Corrupt on malformed input. *)
 
-val checkpoint_node : t -> int -> string
-(** Serialize one node's tables — rows, equivalence state
-    ([htequi]/[hmap], both ingress-local), and side stores — for its
-    durable checkpoint. The store-global orphan counter is excluded. *)
+val interclass : t -> bool
+(** Whether the store uses the §5.4 inter-class layout. *)
 
-val digest_node : t -> int -> string
-(** SHA-1 (hex) of the node's canonical blob without sealing dirty
-    tracking — same contract as {!Store_exspan.digest_node}. *)
-
-val restore_node : t -> int -> string -> unit
-(** Reload one node's tables after a {!Dpc_engine.Node.reset}.
-    @raise Dpc_util.Serialize.Corrupt on malformed input or a layout
-    mismatch. *)
-
-val set_track_dirty : t -> bool -> unit
-(** Enable dirty-set tracking for delta checkpoints — same contract as
-    {!Store_exspan.set_track_dirty}. *)
-
-val checkpoint_delta : t -> int -> string
-(** One node's changes since its last cut — new rows and side entries,
-    plus the equivalence-state change record: whether [htequi] was wiped
-    by a slow update, the keys added since, and the full current ref list
-    of every [hmap] class that grew. O(changes); clears the dirty set. *)
-
-val apply_delta : t -> int -> string -> unit
-(** Replay a {!checkpoint_delta} blob on top of the node's current
-    state (base checkpoint plus earlier deltas, oldest first).
-    @raise Dpc_util.Serialize.Corrupt on malformed input or a layout
-    mismatch. *)
+val orphan_outputs : t -> int
+(** Outputs that arrived with [existFlag = true] but found no [hmap] entry
+    (possible when a §5.5 reset races in-flight executions); their
+    provenance is not recorded, mirroring the paper's assumption that
+    updates quiesce before querying. *)

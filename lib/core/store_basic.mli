@@ -3,81 +3,16 @@
     [(NLoc, NRID)] back-pointer to the rule execution that derived its
     event, and only output tuples (the relations of interest) get [prov]
     rows. Queries walk the back-pointer chain to the leaf, retrieve the
-    input event, and re-derive the intermediate tuples bottom-up. *)
+    input event, and re-derive the intermediate tuples bottom-up.
 
-type t
+    A {!Store} policy; the walk is {!Store.chain_trees}. *)
+
+type node_state
+
+type t = (unit, node_state) Store.t
 
 val create : delp:Dpc_ndlog.Delp.t -> env:Dpc_engine.Env.t -> nodes:int -> t
-(** Builds a fresh [nodes]-node cluster; per-node tables hang off each
-    {!Dpc_engine.Node.t} and row writes tick its [store.*] counters. *)
-
-val set_degraded_sink : t -> (int -> unit) -> unit
-(** Re-route the degraded-query tick: [f querier] runs instead of the
-    default increment of [crash.queries_degraded] on the querier's
-    volatile registry. Installed by the durable layer so the count
-    survives a crash of the querier (see [Durable.attach]). *)
-
-val nodes : t -> Dpc_engine.Node.t array
-(** The cluster owning all per-node state; pass to
-    [Runtime.create ~nodes] so the runtime shares it. *)
-
-val set_query_cache : t -> Query_cache.t option -> unit
-(** Attach (or detach, with [None]) the shared memoization cache the
-    query path consults. Attaching registers per-node crash-invalidation
-    hooks ({!Dpc_engine.Node.on_reset}) once; §5.5 [sig] deliveries
-    invalidate through the store's own [on_slow_update]. *)
-
-val query_cache : t -> Query_cache.t option
-
-val hook : t -> Dpc_engine.Prov_hook.t
-
-val node_storage : t -> int -> Rows.storage
-val total_storage : t -> Rows.storage
-
-val query :
-  t ->
-  cost:Query_cost.t ->
-  routing:Dpc_net.Routing.t ->
-  ?evid:Dpc_util.Sha1.t ->
-  ?up:(int -> bool) ->
-  Dpc_ndlog.Tuple.t ->
-  Query_result.t
-(** Two-step query (§4): fetch the optimized chain, then recompute the
-    intermediate provenance nodes by re-executing the recorded rules from
-    the leaf upward. [up] is the node-liveness predicate — a chain that
-    reaches a down node is abandoned after the bounded retry budget and
-    the result is marked [complete = false] (see {!Store_exspan.query}). *)
-
-val dump : t -> (string * string list * string list list) list
-(** Human-readable table contents [(name, header, rows)] — the shape of the
-    paper's Table 2. *)
-
-val checkpoint : t -> string
-(** Serialize the full store to bytes. *)
 
 val restore : delp:Dpc_ndlog.Delp.t -> env:Dpc_engine.Env.t -> string -> t
-(** Rebuild a store from {!checkpoint} output.
-    @raise Dpc_util.Serialize.Corrupt on malformed input. *)
-
-val checkpoint_node : t -> int -> string
-(** Serialize one node's tables for its durable checkpoint. *)
-
-val digest_node : t -> int -> string
-(** SHA-1 (hex) of the node's canonical blob without sealing dirty
-    tracking — same contract as {!Store_exspan.digest_node}. *)
-
-val restore_node : t -> int -> string -> unit
-(** Reload one node's tables after a {!Dpc_engine.Node.reset}.
-    @raise Dpc_util.Serialize.Corrupt on malformed input. *)
-
-val set_track_dirty : t -> bool -> unit
-(** Enable dirty-set tracking for delta checkpoints — same contract as
-    {!Store_exspan.set_track_dirty}. *)
-
-val checkpoint_delta : t -> int -> string
-(** One node's rows/side entries inserted since its last cut — O(changes);
-    clears the dirty set. See {!Store_exspan.checkpoint_delta}. *)
-
-val apply_delta : t -> int -> string -> unit
-(** Replay a {!checkpoint_delta} blob on top of the node's current tables.
+(** Rebuild a store from {!Store.checkpoint} output.
     @raise Dpc_util.Serialize.Corrupt on malformed input. *)

@@ -2,91 +2,26 @@
     every rule execution stores a [ruleExec] row at the executing node, and
     every tuple — input event, intermediate events, slow-changing tuples,
     and the output — gets a [prov] row at its location (base tuples with a
-    NULL rule reference). The comparison baseline for both optimizations. *)
+    NULL rule reference). The comparison baseline for both optimizations.
 
-type t
+    A {!Store} policy: checkpoints, dirty tracking, the query cache and
+    storage accounting are the skeleton's. Its query (§2.2) follows [prov]
+    and [ruleExec] rows from the queried tuple down to base tuples,
+    reconstructing every derivation. *)
+
+type node_state
+
+type t = (unit, node_state) Store.t
 
 val create : delp:Dpc_ndlog.Delp.t -> env:Dpc_engine.Env.t -> nodes:int -> t
-(** Builds a fresh [nodes]-node cluster; per-node tables hang off each
-    {!Dpc_engine.Node.t} and row writes tick its [store.*] counters. *)
-
-val set_degraded_sink : t -> (int -> unit) -> unit
-(** Re-route the degraded-query tick: [f querier] runs instead of the
-    default increment of [crash.queries_degraded] on the querier's
-    volatile registry. Installed by the durable layer so the count
-    survives a crash of the querier (see [Durable.attach]). *)
-
-val nodes : t -> Dpc_engine.Node.t array
-(** The cluster owning all per-node state; pass to
-    [Runtime.create ~nodes] so the runtime shares it. *)
-
-val set_query_cache : t -> Query_cache.t option -> unit
-(** Attach (or detach, with [None]) the shared memoization cache — same
-    contract as {!Store_basic.set_query_cache}. *)
-
-val query_cache : t -> Query_cache.t option
-
-val hook : t -> Dpc_engine.Prov_hook.t
-
-val node_storage : t -> int -> Rows.storage
-val total_storage : t -> Rows.storage
-
-val query :
-  t ->
-  cost:Query_cost.t ->
-  routing:Dpc_net.Routing.t ->
-  ?evid:Dpc_util.Sha1.t ->
-  ?up:(int -> bool) ->
-  Dpc_ndlog.Tuple.t ->
-  Query_result.t
-(** Recursive distributed query (§2.2): follow [prov] and [ruleExec] rows
-    from the queried tuple down to base tuples, reconstructing every
-    derivation; [evid] restricts to derivations triggered by that input
-    event. [up] (default: everyone) is the node-liveness predicate:
-    touching a down node charges the bounded
-    [(down_retries + 1) * down_timeout] budget, abandons that branch, and
-    marks the result [complete = false] — never hangs, never raises. *)
-
-val dump : t -> (string * string list * string list list) list
-(** Human-readable table contents [(name, header, rows)], digests
-    abbreviated, rows sorted — the shape of the paper's Table 1. *)
-
-val checkpoint : t -> string
-(** Serialize the full store (tables and materialized tuples) to bytes. *)
 
 val restore : delp:Dpc_ndlog.Delp.t -> env:Dpc_engine.Env.t -> string -> t
-(** Rebuild a store from {!checkpoint} output; queries against it behave
-    identically. @raise Dpc_util.Serialize.Corrupt on malformed input. *)
+(** Rebuild a store from {!Store.checkpoint} output; queries against it
+    behave identically. @raise Dpc_util.Serialize.Corrupt on malformed
+    input. *)
 
-val checkpoint_node : t -> int -> string
-(** Serialize ONE node's tables (receiver-side writes make them fully
-    node-owned) for inclusion in that node's durable checkpoint. *)
-
-val digest_node : t -> int -> string
-(** SHA-1 (hex) of the node's canonical {!checkpoint_node} blob WITHOUT
-    sealing dirty tracking — a pure observation, safe between delta
-    cuts. Equal digests mean byte-identical tables; the cross-process
-    transparency oracle compares these between a daemon cluster and the
-    simulator. *)
-
-val restore_node : t -> int -> string -> unit
-(** Reload one node's tables from {!checkpoint_node} output, after a
-    {!Dpc_engine.Node.reset} — row writes re-tick the node's [store.*]
-    counters. @raise Dpc_util.Serialize.Corrupt on malformed input. *)
-
-val set_track_dirty : t -> bool -> unit
-(** Turn dirty-set tracking on (the durable layer does at attach when
-    delta checkpoints are enabled). While on, every first insertion of a
-    row or side entry is remembered until the next checkpoint/delta cut
-    of its node. Off by default — tracking costs a list cons per insert. *)
-
-val checkpoint_delta : t -> int -> string
-(** Serialize only the rows/side entries of ONE node inserted since its
-    last {!checkpoint_node}/{!checkpoint_delta}/{!restore_node} cut —
-    O(changes), not O(state) — and clear the node's dirty set. Requires
-    {!set_track_dirty}[ t true] since the last cut to be meaningful. *)
-
-val apply_delta : t -> int -> string -> unit
-(** Replay one {!checkpoint_delta} blob on top of the node's current
-    tables (base checkpoint plus any earlier deltas, oldest first).
-    @raise Dpc_util.Serialize.Corrupt on malformed input. *)
+val rid_of :
+  rule_name:string -> node:int -> vids:Dpc_util.Sha1.t list -> Dpc_util.Sha1.t
+(** The rule-execution id of Table 1: SHA-1 of the rule name, the node and
+    the body vids. Basic (Table 2) reuses it, and so does the Advanced
+    §5.4 node row over the slow vids alone. *)

@@ -251,164 +251,40 @@ let total_storage t =
 
 (* ----------------------------------------------------------------- *)
 (* Query: interclass-style chain collection over shared nodes and private
-   links, then bottom-up re-derivation with this program's rules. *)
-
-exception Broken of string
-
-type acct = {
-  cost : Query_cost.t;
-  routing : Dpc_net.Routing.t;
-  mutable latency : float;
-  mutable entries : int;
-  mutable bytes : int;
-  mutable rederives : int;
-  mutable hop_s : float;
-}
-
-let charge_entries acct n =
-  acct.entries <- acct.entries + n;
-  acct.latency <- acct.latency +. (float_of_int n *. acct.cost.Query_cost.per_entry)
-
-let charge_bytes acct n =
-  acct.bytes <- acct.bytes + n;
-  acct.latency <- acct.latency +. (float_of_int n *. acct.cost.Query_cost.per_byte)
-
-let charge_rederive acct n =
-  acct.rederives <- acct.rederives + n;
-  acct.latency <- acct.latency +. (float_of_int n *. acct.cost.Query_cost.per_rederive)
-
-let charge_hop acct ~src ~dst =
-  let h = Query_cost.hop acct.cost acct.routing ~src ~dst in
-  acct.hop_s <- acct.hop_s +. h;
-  acct.latency <- acct.latency +. h
+   links, then bottom-up re-derivation with this program's rules. Multi-
+   program queries have no liveness predicate yet: the store is a
+   storage-sharing experiment, not wired into the crash-fault runtime. *)
 
 let find_rule h sig_id =
   match Hashtbl.find_opt h.store.sig_of_id sig_id with
-  | None -> raise (Broken "unknown rule signature id")
+  | None -> raise (Store.Broken "unknown rule signature id")
   | Some signature -> begin
       match Hashtbl.find_opt h.signatures signature with
       | Some r -> r
-      | None -> raise (Broken "rule signature not in this program")
+      | None -> raise (Store.Broken "rule signature not in this program")
     end
 
-let max_chains = 64
-
-let fetch_chains h acct ~start rref =
-  let results = ref [] in
-  let rec go at (rloc, rid) acc seen =
-    if List.length !results >= max_chains then ()
-    else begin
-      charge_hop acct ~src:at ~dst:rloc;
-      let key = (rloc, Rows.key rid) in
-      if List.mem key seen then ()
-      else begin
-        let seen = key :: seen in
-        match Rows.Table.find (shared h.store rloc).exec_nodes (Rows.key rid) with
-        | [] -> raise (Broken "missing shared ruleExecNode")
-        | _ :: _ :: _ -> raise (Broken "duplicate shared rid")
-        | [ row ] ->
-            charge_entries acct 1;
-            charge_bytes acct (Rows.rule_exec_row_bytes ~with_next:false row);
-            let links = Rows.Table.find (priv h rloc).exec_links (Rows.key rid) in
-            charge_entries acct (List.length links);
-            List.iter (fun l -> charge_bytes acct (Rows.link_row_bytes l)) links;
-            if links = [] then raise (Broken "no link row for this program");
-            List.iter
-              (fun (l : Rows.link_row) ->
-                match l.link_next with
-                | None -> results := List.rev (row :: acc) :: !results
-                | Some next -> go rloc next (row :: acc) seen)
-              links
-      end
-    end
-  in
-  go start rref [] [];
-  !results
-
-let resolve_slow h acct ~node vid =
-  match Side_store.get (shared h.store node).slow_tuples ~key:vid with
-  | Some tuple ->
-      charge_bytes acct (Tuple.wire_size tuple);
-      tuple
-  | None -> raise (Broken "slow tuple not materialized")
-
-let rederive h acct ~evid chain =
-  let rec build = function
-    | [] -> raise (Broken "empty chain")
-    | [ (leaf : Rows.rule_exec_row) ] ->
-        let event =
-          match Side_store.get (priv h leaf.rloc).events ~key:evid with
-          | Some ev ->
-              charge_bytes acct (Tuple.wire_size ev);
-              ev
-          | None -> raise (Broken "event not materialized")
-        in
-        let slow = List.map (resolve_slow h acct ~node:leaf.rloc) leaf.vids in
-        let rule = find_rule h leaf.rule in
-        charge_rederive acct 1;
-        begin
-          match Dpc_engine.Eval.fire_with_slow ~env:h.env ~rule ~event ~slow with
-          | Some head ->
-              ({ Prov_tree.rule = rule.name; output = head; trigger = Event event; slow }, head)
-          | None -> raise (Broken "re-derivation failed at leaf")
-        end
-    | (row : Rows.rule_exec_row) :: rest ->
-        let sub, sub_head = build rest in
-        if Tuple.loc sub_head <> row.rloc then raise (Broken "chain/location mismatch");
-        let slow = List.map (resolve_slow h acct ~node:row.rloc) row.vids in
-        let rule = find_rule h row.rule in
-        charge_rederive acct 1;
-        begin
-          match Dpc_engine.Eval.fire_with_slow ~env:h.env ~rule ~event:sub_head ~slow with
-          | Some head ->
-              ({ Prov_tree.rule = rule.name; output = head; trigger = Derived sub; slow }, head)
-          | None -> raise (Broken "re-derivation failed")
-        end
-  in
-  build chain
+let chains =
+  {
+    Store.env = (fun h -> h.env);
+    find_rule;
+    chain_rows =
+      (fun h node -> Store.Linked ((shared h.store node).exec_nodes, (priv h node).exec_links));
+    slow = (fun h node -> (shared h.store node).slow_tuples);
+    leaf =
+      (fun h acct ~evid (leaf : Rows.rule_exec_row) ->
+        match evid with
+        | Some evid -> (Store.lookup acct (priv h leaf.rloc).events evid, leaf.vids)
+        | None -> raise (Store.Broken "prov row without evid"));
+  }
 
 let query h ~cost ~routing ?evid output =
-  let querier = Tuple.loc output in
-  let acct = { cost; routing; latency = 0.0; entries = 0; bytes = 0; rederives = 0; hop_s = 0.0 } in
-  let htp = Rows.vid_of output in
-  let rows = Rows.Table.find (priv h querier).prov (Rows.key htp) in
-  let rows =
-    match evid with
-    | None -> rows
-    | Some e ->
-        List.filter
-          (fun (r : Rows.prov_row) ->
-            match r.evid with Some re -> Sha1.equal re e | None -> false)
-          rows
+  let acct =
+    Store.fresh_acct ~cost ~routing ~up:(fun _ -> true) ~querier:(Tuple.loc output)
+      ~degraded:ignore
   in
-  charge_entries acct (max 1 (List.length rows));
-  let trees =
-    List.concat_map
-      (fun (r : Rows.prov_row) ->
-        let row_evid =
-          match r.evid with Some e -> e | None -> raise (Broken "prov row without evid")
-        in
-        match r.rid with
-        | None -> []
-        | Some rref -> begin
-            match fetch_chains h acct ~start:querier rref with
-            | chains ->
-                List.filter_map
-                  (fun chain ->
-                    match rederive h acct ~evid:row_evid chain with
-                    | tree, head when Tuple.equal head output -> Some tree
-                    | _ -> None
-                    | exception Broken _ -> None)
-                  chains
-            | exception Broken _ -> []
-          end)
-      rows
-  in
-  (match trees with
-  | [] -> ()
-  | tr :: _ -> charge_hop acct ~src:(Tuple.loc (Prov_tree.event_of tr)) ~dst:querier);
-  (* Multi-program queries have no liveness predicate yet: the store is a
-     storage-sharing experiment, not wired into the crash-fault runtime. *)
-  { Query_result.trees = Query_result.dedup_trees trees; latency = acct.latency;
-    entries = acct.entries; bytes = acct.bytes; rederives = acct.rederives;
-    hop_s = acct.hop_s; downs = 0; complete = true }
+  Store.answer
+    ~prov:(fun h node -> (priv h node).prov)
+    ~memo:(fun _ _ ~rref:_ ~ctx:_ walk -> walk ())
+    ~walk:(fun h acct ~output ~evid rref -> Store.chain_trees acct chains h ~output ~evid rref)
+    h acct ?evid output

@@ -127,6 +127,47 @@ let test_truncated_blob_rejected () =
   | exception Dpc_util.Serialize.Corrupt _ -> ()
   | exception Invalid_argument _ -> () (* a digest cut mid-way *)
 
+(* [Backend.restore] honours the scheme it is given: the Advanced layout
+   flag in the blob must agree with the requested scheme, both ways. *)
+let test_layout_mismatch_rejected () =
+  List.iter
+    (fun (taken, asked) ->
+      let backend, _ = run_workload taken payloads in
+      let blob = Backend.checkpoint backend in
+      match
+        Backend.restore asked ~delp:(Dpc_apps.Forwarding.delp ()) ~env:Dpc_apps.Forwarding.env
+          blob
+      with
+      | _ ->
+          Alcotest.failf "%s blob restored as %s" (Backend.scheme_name taken)
+            (Backend.scheme_name asked)
+      | exception Dpc_util.Serialize.Corrupt _ -> ())
+    [
+      (Backend.S_advanced_interclass, Backend.S_advanced);
+      (Backend.S_advanced, Backend.S_advanced_interclass);
+    ]
+
+(* Every blob kind rejects trailing bytes: a node checkpoint, a node
+   delta and a cluster checkpoint with one byte appended. *)
+let test_trailing_bytes_rejected name scheme =
+  let backend, _ = run_workload scheme payloads in
+  Backend.set_dirty_tracking backend true;
+  let delp = Dpc_apps.Forwarding.delp () in
+  let env = Dpc_apps.Forwarding.env in
+  let expect_corrupt what f =
+    match f () with
+    | () -> Alcotest.failf "%s: %s with a trailing byte accepted" name what
+    | exception Dpc_util.Serialize.Corrupt _ -> ()
+  in
+  let node_blob = Backend.checkpoint_node backend 1 ^ "\000" in
+  let delta = Backend.checkpoint_delta backend 1 ^ "\000" in
+  let cluster = Backend.checkpoint backend ^ "\000" in
+  let fresh () = Backend.make scheme ~delp ~env ~nodes:3 in
+  expect_corrupt "node checkpoint" (fun () -> Backend.restore_node (fresh ()) 1 node_blob);
+  expect_corrupt "node delta" (fun () -> Backend.apply_delta (fresh ()) 1 delta);
+  expect_corrupt "cluster checkpoint" (fun () ->
+    ignore (Backend.restore scheme ~delp ~env cluster))
+
 let test_interclass_layout_roundtrips () =
   let backend, routing = run_workload Backend.S_advanced_interclass payloads in
   let blob = Backend.checkpoint backend in
@@ -283,6 +324,94 @@ let test_delta_drift name scheme =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Format goldens: the SHA-1 of every blob kind, pinned across commits.
+   The other persistence tests compare two runs of one build, so a format
+   drift that both runs share would pass them; these values were recorded
+   once and must never be edited to make a change pass. One fixed 3-node
+   forwarding world with dirty tracking on: a first batch, each node's
+   full checkpoint, a second batch that opens a new equivalence class at
+   node 1, each node's first delta, then the cluster checkpoint. *)
+
+let golden_digests scheme =
+  let topo = topology () in
+  let routing = Dpc_net.Routing.compute topo in
+  let sim = Dpc_net.Sim.create ~topology:topo ~routing () in
+  let delp = Dpc_apps.Forwarding.delp () in
+  let backend = Backend.make scheme ~delp ~env:Dpc_apps.Forwarding.env ~nodes:3 in
+  Backend.set_dirty_tracking backend true;
+  let runtime =
+    Dpc_engine.Runtime.create ~transport:(Dpc_net.Transport.of_sim sim) ~delp
+      ~env:Dpc_apps.Forwarding.env ~hook:(Backend.hook backend) ()
+  in
+  Dpc_engine.Runtime.load_slow runtime routes;
+  let inject packets =
+    List.iter
+      (fun (src, payload) ->
+        Dpc_engine.Runtime.inject runtime (Dpc_apps.Forwarding.packet ~src ~dst:2 ~payload))
+      packets;
+    Dpc_engine.Runtime.run runtime
+  in
+  let sha blob = Dpc_util.Sha1.to_hex (Dpc_util.Sha1.digest_string blob) in
+  inject [ (0, "a"); (0, "b"); (0, "c") ];
+  let nodes = List.init 3 (fun node -> sha (Backend.checkpoint_node backend node)) in
+  inject [ (0, "d"); (1, "e") ];
+  let deltas = List.init 3 (fun node -> sha (Backend.checkpoint_delta backend node)) in
+  nodes @ deltas @ [ sha (Backend.checkpoint backend) ]
+
+let goldens =
+  [
+    ( Backend.S_exspan,
+      [
+        "f4527a559faf30d4cbc88d99bd426cd28a517f54";
+        "441155ab26322715e59cc7c822c0004a39ee5d28";
+        "083a798db1463dc10bfa9e9e065a96ba3ad0c276";
+        "852b3da8151d5c7bb25a84a4939f3b25b18907cd";
+        "0bb101555863dd1a46d58553d630f3dc706b623f";
+        "a9645ecfa3eb2be52a89759ff6c88feb35734a15";
+        "3b4657c40c7fe2e8f5971b7f8c80d819bf35f186";
+      ] );
+    ( Backend.S_basic,
+      [
+        "3762cbc045c1d94e42d031f5ce078ed317623d1a";
+        "c075925d556d87152c8b956758257d1e8d1cfd7d";
+        "41bf56b5eace22fd31648391099332b1c6e4f2c8";
+        "c8e8aa7fc1184af9cf18255133c427002d2473f8";
+        "65ff86228dfba1ac51820d6cf7a00768dae2de5d";
+        "7e6827744b643035f9ccc64ffb2c1c9f9cba7169";
+        "129a64980f9096635c12377901230e7d0352fe09";
+      ] );
+    ( Backend.S_advanced,
+      [
+        "c5e296d6e802d7def4dd3068e31303ecf2e60fb6";
+        "2ece7920286dad54feeef4ab972b140d528fb2f3";
+        "6d4f9ef1f8b39776d1297c00104aea81dc92887b";
+        "e43879e4d237eeb14c96fe86416f5320dd1d50e8";
+        "bddc8cc9719dee9a33ab2ed31b9894816a480041";
+        "38b8f9acc1645352658c1d739f86638e33045905";
+        "75a2dad6ef8fdd6ef88e29959eb3783d5a9e8efe";
+      ] );
+    ( Backend.S_advanced_interclass,
+      [
+        "80bb06003c8805d2737b109e3ba5387fa8307adc";
+        "56fdf6dc3497c3fa5fdfae9c074dd238e653240e";
+        "7182d8b1a247e26458c6c8e33f98a84e8335f507";
+        "127da4b015f2ac666d33b04f7c6f33996ffc9859";
+        "7c0a53e2b0e5abe7f2a041bfce23f87f78c1704c";
+        "27791d3e8d8b68fb98dc7c54b6bedb67dbc5e0be";
+        "43fa3d38ff57a235ec82104a8c75a46ada9f2b0a";
+      ] );
+  ]
+
+let test_format_golden name scheme =
+  let labels =
+    [ "node 0"; "node 1"; "node 2"; "delta 0"; "delta 1"; "delta 2"; "cluster" ]
+  in
+  List.iter2
+    (fun label (want, got) -> check Alcotest.string (name ^ " " ^ label) want got)
+    labels
+    (List.combine (List.assoc scheme goldens) (golden_digests scheme))
+
+(* ------------------------------------------------------------------ *)
 (* Crash-schedule hygiene: a crash landing at the exact instant a node's
    previous outage ends is an event-queue tie (restart and crash race)
    and must be pruned, not admitted. *)
@@ -348,9 +477,12 @@ let () =
         [
           Alcotest.test_case "wrong magic" `Quick test_wrong_magic_rejected;
           Alcotest.test_case "truncated blob" `Quick test_truncated_blob_rejected;
+          Alcotest.test_case "layout mismatch" `Quick test_layout_mismatch_rejected;
         ] );
+      ("trailing bytes", scheme_cases test_trailing_bytes_rejected);
       ("mid-run checkpoint + replay", scheme_cases test_midrun_checkpoint);
       ("delta checkpoints", scheme_cases test_delta_drift);
+      ("format goldens", scheme_cases test_format_golden);
       ( "crash schedule",
         [
           Alcotest.test_case "prune overlaps" `Quick test_prune_overlaps;
