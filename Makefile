@@ -27,11 +27,16 @@ crash:
 
 # Partition-fault suites: the partition oracle at full width (15 seeded
 # instances x 4 schemes x 4 plan families, digest-checked against a
-# perfect network), the partitionable/backoff/suspension unit group, the
-# degraded-query partition test, and the partitions bench figure (heal
-# latency + retransmit storm, jitter on/off).
+# perfect network), the channel-core model test (random and exhaustive
+# drop/duplicate/reorder/crash schedules against the exactly-once FIFO
+# spec; its failure is named on stderr, which CI keeps), the
+# partitionable/backoff/suspension unit group, the degraded-query
+# partition test, and the partitions bench figure (heal latency +
+# retransmit storm, jitter on/off).
 partitions:
 	DPC_CHAOS_FULL=1 dune exec test/test_chaos.exe -- test 'partition oracle'
+	dune exec test/test_net.exe -- test 'channel model' || \
+		{ echo "make partitions: test_net group 'channel model' failed" >&2; exit 1; }
 	dune exec test/test_net.exe -- test 'partition faults'
 	dune exec test/test_robustness.exe -- test 'degraded queries'
 	dune exec bench/main.exe -- --fig partitions --tiny

@@ -7,7 +7,6 @@ module Db = Dpc_engine.Db
 module Runtime = Dpc_engine.Runtime
 module Journal = Dpc_engine.Journal
 module Transport = Dpc_net.Transport
-module Reliable = Dpc_net.Reliable
 
 type config = { checkpoint_every : int; rebase_every : int }
 
@@ -286,8 +285,6 @@ type t = {
       (* Nodes whose log was loaded from an existing on-disk state at
          attach; their volatile state is rebuilt by {!recover}, not
          sealed into a fresh checkpoint 0. *)
-  mutable chan_snapshot : (int -> string option) option;
-  mutable chan_restore : (int -> string -> unit) option;
   recovering : bool array;
       (* Recovery replays the journal through the same code paths that
          produced it; this per-node flag keeps those paths from appending
@@ -414,11 +411,7 @@ let cut_bytes c =
 let take_checkpoint t node =
   flush_group t node;
   let log = t.logs.(node) in
-  let channels =
-    match Runtime.reliability t.runtime with
-    | Some r -> Some (Reliable.snapshot r ~node)
-    | None -> ( match t.chan_snapshot with Some f -> f node | None -> None)
-  in
+  let channels = (Runtime.channels t.runtime).snapshot ~node in
   let as_delta =
     log.checkpoint <> None
     && t.config.rebase_every > 1
@@ -509,10 +502,10 @@ let append t node entry =
     log.wal_bytes <- log.wal_bytes + len
   end
 
-let on_channel_event t (ev : Reliable.channel_event) =
+let on_channel_event t (ev : Dpc_net.Chan.event) =
   match ev with
-  | Reliable.Next_seq { src; dst; seq } -> append t src (Journal.Next_seq { peer = dst; seq })
-  | Reliable.Expected { src; dst; seq } -> append t dst (Journal.Expected { peer = src; seq })
+  | Next_seq { src; dst; seq } -> append t src (Journal.Next_seq { peer = dst; seq })
+  | Expected { src; dst; seq } -> append t dst (Journal.Expected { peer = src; seq })
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -608,8 +601,6 @@ let attach ~backend ~runtime ~control ?(config = default_config) ?disk
       config;
       logs = Array.init n (fun _ -> fresh_log ());
       from_disk = Array.make n false;
-      chan_snapshot = None;
-      chan_restore = None;
       recovering = Array.make n false;
     }
   in
@@ -636,9 +627,7 @@ let attach ~backend ~runtime ~control ?(config = default_config) ?disk
     let log = t.logs.(querier) in
     log.queries_degraded <- log.queries_degraded + 1;
     Metrics.incr (metrics t querier) "crash.queries_degraded");
-  (match Runtime.reliability runtime with
-  | None -> ()
-  | Some r -> Reliable.set_persist r (fun ev -> on_channel_event t ev));
+  (Runtime.channels runtime).set_persist (on_channel_event t);
   Runtime.set_availability runtime control.Transport.is_up;
   (* Dirty tracking must be live BEFORE the first cut so every write
      after checkpoint 0 lands in some delta — both the provenance stores
@@ -683,9 +672,7 @@ let crash t node =
     flush_group t node;
     t.control.Transport.crash node;
     Node.reset (Runtime.node t.runtime node);
-    (match Runtime.reliability t.runtime with
-    | None -> ()
-    | Some r -> Reliable.forget r ~node);
+    (Runtime.channels t.runtime).forget ~node;
     let log = t.logs.(node) in
     log.crashes <- log.crashes + 1;
     rematerialize t node
@@ -714,11 +701,7 @@ let rebuild t node =
               Db.apply_delta db d.db)
             (List.rev log.deltas);
           let newest = match log.deltas with d :: _ -> d | [] -> base in
-          (match (newest.channels, Runtime.reliability t.runtime) with
-          | Some blob, Some r -> Reliable.restore r ~node blob
-          | Some blob, None -> (
-              match t.chan_restore with Some f -> f node blob | None -> ())
-          | None, _ -> ()));
+          Option.iter ((Runtime.channels t.runtime).restore ~node) newest.channels);
       (* The wal is NOT truncated: a second crash before the next
          compaction replays the same checkpoint plus the same entries
          (and whatever lands after this recovery). Each wal blob is one
@@ -763,10 +746,6 @@ let recover t node =
   let t0 = Clock.now () in
   rebuild t node;
   tick_recovery t node t0
-
-let set_channel_state t ~snapshot ~restore =
-  t.chan_snapshot <- Some snapshot;
-  t.chan_restore <- Some restore
 
 let journal t node entry = append t node entry
 let flush_wal t node = flush_group t node

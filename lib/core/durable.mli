@@ -3,10 +3,10 @@
 
     The failure model is crash-stop with restart: a crashed node loses all
     volatile state — its provenance tables, slow-table database, metrics
-    registry, and reliable-channel windows — and the wire to it is cut
+    registry, and channel windows — and the wire to it is cut
     ({!Dpc_net.Transport.crashable}) until it restarts. What survives is
     this module's per-node log: a checkpoint (store tables +
-    {!Dpc_engine.Db} snapshot + {!Dpc_net.Reliable} sequence state, cut at
+    {!Dpc_engine.Db} snapshot + channel sequence state, cut at
     an operation boundary) plus the write-ahead journal tail
     ({!Dpc_engine.Journal}) of everything non-derivable that happened
     since.
@@ -17,7 +17,14 @@
     last. No explicit re-announce message exists: restoring the receive
     watermark makes the peers' pending retransmissions the recovery
     handshake — below-watermark copies are acked as duplicates, the first
-    unseen one is delivered (see {!Dpc_net.Reliable}). *)
+    unseen one is delivered (see {!Dpc_net.Reliable}).
+
+    This module reaches the channels only through the runtime's
+    {!Dpc_net.Chan.handle} ({!Dpc_engine.Runtime.channels}): cuts take
+    its [snapshot], {!crash} its [forget], recovery its [restore], and
+    its events are journaled. Whether the channels belong to an
+    in-process {!Dpc_net.Reliable} or a {!Dpc_net.Socket} is not this
+    module's concern. *)
 
 type config = {
   checkpoint_every : int;
@@ -91,8 +98,9 @@ val attach :
   unit ->
   t
 (** Wire durability into a built world: installs the runtime's journal
-    sink ({!Dpc_engine.Runtime.set_journal}), the reliable layer's
-    sequence-state persister ({!Dpc_net.Reliable.set_persist}), and the
+    sink ({!Dpc_engine.Runtime.set_journal}), the channel handle's
+    sequence-state persister ([set_persist] of
+    {!Dpc_engine.Runtime.channels} — install the handle first), and the
     injection availability predicate, then seals the pre-attach state
     (e.g. slow tables loaded by the generator) into each node's
     checkpoint 0. Attach before injecting anything; events processed
@@ -120,21 +128,14 @@ val recover : t -> int -> unit
     newest cut chain, then replay the wal tail through
     {!Dpc_engine.Runtime.replay}. The real-process counterpart of
     {!restart} — the process died instead of the simulated node, so
-    there is no wire to reconnect; the caller restores channel state and
-    re-offers the outbox tail itself. Adds to [crash.recovery_ms]. *)
-
-val set_channel_state :
-  t -> snapshot:(int -> string option) -> restore:(int -> string -> unit) -> unit
-(** Where checkpoints get their channel-sequence blob when the reliable
-    layer lives below the transport (a socket backend): [snapshot] is
-    called at each cut, [restore] with the newest cut's blob during
-    {!recover}/{!restart}. Unused (the in-process {!Dpc_net.Reliable}
-    wins) when the runtime was built with [?reliable]. *)
+    there is no wire to reconnect; the caller raises the send cursors to
+    its outbox ledger and re-offers the outbox tail itself. Adds to
+    [crash.recovery_ms]. *)
 
 val journal : t -> int -> Dpc_engine.Journal.entry -> unit
-(** Append one entry to the node's journal directly — for entries the
-    runtime cannot see, e.g. a socket transport's receive-watermark
-    advances. Suppressed (like every append) while the node recovers. *)
+(** Append one entry to the node's journal directly — the sink
+    {!attach} installs in the runtime, exposed so a caller can wrap it.
+    Suppressed (like every append) while the node recovers. *)
 
 val flush_wal : t -> int -> unit
 (** Close the open group-commit buffer and push it to the wal — and, in
@@ -147,8 +148,8 @@ val outbox : t -> int -> Outbox.t option
 
 val crash : t -> int -> unit
 (** Take the node down NOW: cut its wire, wipe its volatile state
-    ({!Dpc_engine.Node.reset}), and drop its channel windows
-    ({!Dpc_net.Reliable.forget}). Idempotent while down. The durable
+    ({!Dpc_engine.Node.reset}), and drop its channel state (the
+    handle's [forget]). Idempotent while down. The durable
     [crash.*] counters survive and are re-materialized into the wiped
     metrics registry. *)
 

@@ -80,6 +80,18 @@ val reliability : t -> Dpc_net.Reliable.t option
 (** The delivery layer created by [?reliable], for its {!Dpc_net.Reliable.stats}
     (ack/retransmit bandwidth adders). [None] on bare transports. *)
 
+val channels : t -> Dpc_net.Chan.handle
+(** The channel-state handle: {!Dpc_net.Reliable.channels} under
+    [?reliable], {!Dpc_net.Chan.stateless} otherwise, or whatever
+    {!set_channels} installed. {!replay} and the durable layer reach the
+    channels through it alone. *)
+
+val set_channels : t -> Dpc_net.Chan.handle -> unit
+(** Install the handle of a channel layer that lives below the transport
+    — a socket host passes {!Dpc_net.Socket.channels}. Do it before
+    attaching the durable layer, which subscribes to the handle's
+    events. *)
+
 val delp : t -> Dpc_ndlog.Delp.t
 
 val nodes : t -> Node.t array
@@ -139,8 +151,8 @@ val set_journal : t -> (node:int -> Journal.entry -> unit) -> unit
 (** Install the write-ahead sink. From then on the runtime reports, at
     the owning node and before applying the effect: injected inputs,
     event arrivals (with their meta), delivered [sig] messages,
-    slow-table loads and runtime mutations. {!Dpc_net.Reliable} channel
-    advances are reported by that layer's own [set_persist], not here. *)
+    slow-table loads and runtime mutations. Channel advances are
+    reported through the {!channels} handle's [set_persist], not here. *)
 
 val set_availability : t -> (int -> bool) -> unit
 (** Tell {!inject} which nodes are up. An injection whose node is down is
@@ -156,9 +168,8 @@ val replay : t -> node:int -> Journal.entry list -> unit
     that produced the original state, with sends, journaling, and the
     cluster-global {!stats} counters suppressed (per-node metric ticks
     are kept — the node's registry was wiped with it). Channel entries
-    restore the reliable layer's sequence state monotonically, in
-    place — or go through {!set_channel_restore} when the sequence state
-    lives below the transport. Remote-destined sends regenerated during
+    raise the sequence state behind the {!channels} handle monotonically,
+    in place. Remote-destined sends regenerated during
     replay are re-offered through the [replayed] hook of {!set_remote}
     (see there) instead of being dropped. *)
 
@@ -197,11 +208,3 @@ val deliver_remote : t -> node:int -> string -> unit
     @raise Invalid_argument if the entry is not an arrival or sig, or is
     addressed to a different node.
     @raise Dpc_util.Serialize.Corrupt on an undecodable payload. *)
-
-val set_channel_restore :
-  t -> next_seq:(peer:int -> seq:int -> unit) -> expected:(peer:int -> seq:int -> unit) -> unit
-(** Where {!replay} routes [Next_seq]/[Expected] journal entries when
-    there is no in-process reliable layer: a socket host points these at
-    its transport's sequence state ([Dpc_net.Socket.set_next_seq] /
-    [set_expected]). Ignored while [?reliable] is in use — the reliable
-    layer wins. *)

@@ -32,24 +32,18 @@ let backoff_delay config ~src ~dst ~attempt =
     let u = Transport.channel_unit_hash ~seed:0x7ea1 ~src ~dst ~n:attempt in
     capped *. (1.0 -. (config.jitter *. u))
 
-(* One directed (src, dst) channel. The sender's half is [next_seq]; the
-   receiver's half is the dedup/reorder window: everything below
-   [expected] has been delivered in order, and [pending] holds arrivals
-   above the gap, waiting for it to fill. The window stays small — it
-   drains as soon as the missing retransmit lands. Under a sharded
-   transport the two halves live on different domains, but they are
-   distinct fields: the sender's shard only touches [next_seq], the
-   receiver's only [expected]/[pending]. *)
-type channel = {
-  mutable next_seq : int;
-  mutable expected : int;
-  pending : (int, unit -> unit) Hashtbl.t;
-  (* Suspension state, owned by the sender's shard. A suspended channel
-     has burned its retry budget: instead of dropping the unacked tail it
-     parks each message's re-offer thunk here (keyed by seq, re-run in
-     seq order on resurrection) and keeps exactly one heal-probe loop
-     alive until the link answers. [probe_gen] invalidates stale probe
-     timers across resurrect/forget boundaries. *)
+(* The sender's half of one directed (src, dst) channel: its sequence
+   numbers plus the suspension state. A suspended channel has burned its
+   retry budget: instead of dropping the unacked tail it parks each
+   message's re-offer thunk here (keyed by seq, re-run in seq order on
+   resurrection) and keeps exactly one heal-probe loop alive until the
+   link answers. [probe_gen] invalidates stale probe timers across
+   resurrect/forget boundaries. The receiver's half is a [Chan.rx]
+   holding delivery closures. Under a sharded transport the two halves
+   live on different domains: the sender's shard only touches this
+   record, the receiver's only the window. *)
+type sender = {
+  tx : Chan.tx;
   mutable suspended : bool;
   mutable parked : (int * (unit -> unit)) list;
   mutable probe_gen : int;
@@ -71,10 +65,6 @@ type stats = {
   probes : int;
 }
 
-type channel_event =
-  | Next_seq of { src : int; dst : int; seq : int }
-  | Expected of { src : int; dst : int; seq : int }
-
 type t = {
   inner : Transport.t;
   config : config;
@@ -82,8 +72,9 @@ type t = {
   (* The full [src][dst] endpoint matrix, allocated eagerly: channel
      lookup never mutates a shared table, so concurrent shards cannot
      race on it. A few MB at the paper's 125 nodes. *)
-  channels : channel array array;
-  mutable persist : (channel_event -> unit) option;
+  senders : sender array array;
+  receivers : (unit -> unit) Chan.rx array array;
+  mutable persist : (Chan.event -> unit) option;
   (* Cluster-wide accounting; senders on every shard bump these. *)
   data_msgs : int Atomic.t;
   data_bytes : int Atomic.t;
@@ -111,11 +102,11 @@ let wrap ?(config = default_config) ?metrics inner =
     inner;
     config;
     metrics;
-    channels =
+    senders =
       Array.init n (fun _ ->
         Array.init n (fun _ ->
-          { next_seq = 0; expected = 0; pending = Hashtbl.create 8; suspended = false;
-            parked = []; probe_gen = 0 }));
+          { tx = Chan.tx ~base:0; suspended = false; parked = []; probe_gen = 0 }));
+    receivers = Array.init n (fun _ -> Array.init n (fun _ -> Chan.rx ~base:0));
     persist = None;
     data_msgs = Atomic.make 0;
     data_bytes = Atomic.make 0;
@@ -135,41 +126,7 @@ let wrap ?(config = default_config) ?metrics inner =
 let tick t node ?by name =
   match t.metrics with None -> () | Some f -> Dpc_util.Metrics.incr (f node) ?by name
 
-let set_persist t f = t.persist <- Some f
 let persist t ev = match t.persist with None -> () | Some f -> f ev
-
-let channel t ~src ~dst = t.channels.(src).(dst)
-
-(* Deliver in sequence order: run the arrival if it is the next expected
-   message, then drain whatever the gap was holding back. Out-of-order
-   arrivals wait in the window; duplicates (below the watermark or already
-   waiting) are dropped. The watermark is advanced (and persisted via
-   [notify]) BEFORE the delivery closure runs, so a journal written from
-   inside the closure sees the post-delivery sequence state. Returns what
-   happened, for accounting. *)
-let accept ~notify ch seq k =
-  if seq < ch.expected || Hashtbl.mem ch.pending seq then `Duplicate
-  else if seq > ch.expected then begin
-    Hashtbl.add ch.pending seq k;
-    `Held
-  end
-  else begin
-    ch.expected <- ch.expected + 1;
-    notify ch.expected;
-    k ();
-    let rec drain () =
-      match Hashtbl.find_opt ch.pending ch.expected with
-      | None -> ()
-      | Some k' ->
-          Hashtbl.remove ch.pending ch.expected;
-          ch.expected <- ch.expected + 1;
-          notify ch.expected;
-          k' ();
-          drain ()
-    in
-    drain ();
-    `Delivered
-  end
 
 (* ---- suspension + resurrection ----------------------------------- *)
 
@@ -219,10 +176,10 @@ let suspend t ~src ~dst ch =
   end
 
 let send t ~src ~dst ~bytes k =
-  let ch = channel t ~src ~dst in
-  let seq = ch.next_seq in
-  ch.next_seq <- seq + 1;
-  persist t (Next_seq { src; dst; seq = ch.next_seq });
+  let ch = t.senders.(src).(dst) in
+  let rx = t.receivers.(src).(dst) in
+  let seq = Chan.assign ch.tx in
+  persist t (Chan.Next_seq { src; dst; seq = Chan.next_seq ch.tx });
   let wire = bytes + data_header_bytes in
   let acked = ref false in
   let attempts = ref 0 in
@@ -236,17 +193,17 @@ let send t ~src ~dst ~bytes k =
      retransmissions bring it back. A held message therefore costs one
      extra retransmission in the fault-free case — the price of making
      the ack a durable promise. *)
-  let notify expected = persist t (Expected { src; dst; seq = expected }) in
+  let advance expected = persist t (Chan.Expected { src; dst; seq = expected }) in
   let deliver () =
-    (match accept ~notify ch seq k with
-    | `Delivered -> ()
-    | `Duplicate ->
+    (match Chan.accept rx ~seq k ~advance ~deliver:(fun k -> k ()) with
+    | Delivered | Overflow -> ()
+    | Duplicate ->
         Atomic.incr t.dup_dropped;
         tick t dst "net.dup_dropped"
-    | `Held ->
+    | Held ->
         Atomic.incr t.held;
         tick t dst "net.held");
-    if ch.expected > seq then begin
+    if Chan.covers rx seq then begin
       Atomic.incr t.acks;
       ignore (Atomic.fetch_and_add t.ack_bytes_total ack_bytes);
       tick t dst "net.acks_sent";
@@ -293,39 +250,26 @@ let send t ~src ~dst ~bytes k =
   if ch.suspended then park () else transmit ()
 
 (* ------------------------------------------------------------------ *)
-(* Crash support: channel sequence state as data.
-
-   A node's share of the channel state is the [next_seq] of every channel
-   it sends on and the [expected] watermark of every channel it receives
-   on. The pending window is deliberately NOT part of it — held arrivals
-   were never acked, so after a crash the peers' retransmissions rebuild
-   the window on their own. Restoring the watermark is the whole recovery
-   handshake: a retransmission below it is acked as a duplicate (filling
-   the sender's missed ack), one at it is delivered, and the sender's
-   restored [next_seq] keeps new messages from reusing sequence numbers
-   the peer has already seen. *)
+(* Crash support: channel sequence state as data. Restoring the watermark
+   is the whole recovery handshake: a retransmission below it is acked as
+   a duplicate (filling the sender's missed ack), one at it is delivered,
+   and the sender's restored [next_seq] keeps new messages from reusing
+   sequence numbers the peer has already seen. *)
 
 let set_next_seq t ~src ~dst seq =
-  let ch = channel t ~src ~dst in
-  if seq > ch.next_seq then begin
-    ch.next_seq <- seq;
-    persist t (Next_seq { src; dst; seq })
-  end
+  if Chan.raise_next_seq t.senders.(src).(dst).tx seq then
+    persist t (Chan.Next_seq { src; dst; seq })
 
 let set_expected t ~src ~dst seq =
-  let ch = channel t ~src ~dst in
-  if seq > ch.expected then begin
-    ch.expected <- seq;
-    persist t (Expected { src; dst; seq })
-  end
+  if Chan.raise_expected t.receivers.(src).(dst) seq then
+    persist t (Chan.Expected { src; dst; seq })
 
 let forget t ~node =
   (* Mutate the existing channel records in place: in-flight retransmit
      and delivery closures captured them, and must observe the wipe. *)
-  let n = Array.length t.channels in
-  for peer = 0 to n - 1 do
-    let out = t.channels.(node).(peer) in
-    out.next_seq <- 0;
+  for peer = 0 to Array.length t.senders - 1 do
+    let out = t.senders.(node).(peer) in
+    Chan.reset_tx out.tx;
     (* A crash loses the parked tail with the rest of the volatile send
        state (the durable outbox re-offers it); kill the probe loop and
        drain the parked backlog out of [abandoned]. *)
@@ -333,43 +277,33 @@ let forget t ~node =
     out.probe_gen <- out.probe_gen + 1;
     List.iter (fun _ -> Atomic.decr t.abandoned) out.parked;
     out.parked <- [];
-    let ch = t.channels.(peer).(node) in
-    ch.expected <- 0;
-    Hashtbl.reset ch.pending
+    Chan.reset_rx t.receivers.(peer).(node)
   done
 
-let snapshot_magic = "dpc-rel-v1"
-
-let snapshot t ~node =
-  let n = Array.length t.channels in
-  let senders = ref [] and receivers = ref [] in
-  for peer = n - 1 downto 0 do
-    let out = t.channels.(node).(peer) in
-    if out.next_seq > 0 then senders := (peer, out.next_seq) :: !senders;
-    let in_ = t.channels.(peer).(node) in
-    if in_.expected > 0 then receivers := (peer, in_.expected) :: !receivers
-  done;
-  let w = Dpc_util.Serialize.writer () in
-  Dpc_util.Serialize.write_string w snapshot_magic;
-  let pair (peer, seq) =
-    Dpc_util.Serialize.write_varint w peer;
-    Dpc_util.Serialize.write_varint w seq
-  in
-  Dpc_util.Serialize.write_list w pair !senders;
-  Dpc_util.Serialize.write_list w pair !receivers;
-  Dpc_util.Serialize.contents w
-
-let restore t ~node blob =
-  let r = Dpc_util.Serialize.reader blob in
-  if Dpc_util.Serialize.read_string r <> snapshot_magic then
-    raise (Dpc_util.Serialize.Corrupt "not a Reliable channel snapshot");
-  let pair () =
-    let peer = Dpc_util.Serialize.read_varint r in
-    let seq = Dpc_util.Serialize.read_varint r in
-    (peer, seq)
-  in
-  List.iter (fun (dst, seq) -> set_next_seq t ~src:node ~dst seq) (Dpc_util.Serialize.read_list r pair);
-  List.iter (fun (src, seq) -> set_expected t ~src ~dst:node seq) (Dpc_util.Serialize.read_list r pair)
+let channels t : Chan.handle =
+  {
+    snapshot =
+      (fun ~node ->
+        (* Only the channels that moved off sequence 0 become rows: a cut
+           is taken every few operations, and a node talks to few of its
+           peers. *)
+        let sends = ref [] and recvs = ref [] in
+        for p = Array.length t.senders - 1 downto 0 do
+          let tx = t.senders.(node).(p).tx and rx = t.receivers.(p).(node) in
+          if Chan.next_seq tx > 0 then sends := (p, tx, 0) :: !sends;
+          if Chan.expected rx > 0 then recvs := (p, rx) :: !recvs
+        done;
+        Some (Chan.encode Rel_v1 ~sends:!sends ~recvs:!recvs));
+    restore =
+      (fun ~node blob ->
+        let sends, recvs = Chan.decode Rel_v1 blob in
+        List.iter (fun (dst, seq, _) -> set_next_seq t ~src:node ~dst seq) sends;
+        List.iter (fun (src, seq) -> set_expected t ~src ~dst:node seq) recvs);
+    raise_next_seq = set_next_seq t;
+    raise_expected = set_expected t;
+    forget = forget t;
+    set_persist = (fun f -> t.persist <- Some f);
+  }
 
 let transport t : Transport.t =
   let (module T : Transport.S) = t.inner in
@@ -411,11 +345,6 @@ let stats t : stats =
   }
 
 let suspended_channels t =
-  let n = Array.length t.channels in
-  let count = ref 0 in
-  for src = 0 to n - 1 do
-    for dst = 0 to n - 1 do
-      if t.channels.(src).(dst).suspended then incr count
-    done
-  done;
-  !count
+  Array.fold_left
+    (Array.fold_left (fun count (ch : sender) -> if ch.suspended then count + 1 else count))
+    0 t.senders

@@ -8,8 +8,9 @@
 
     - every directed [(src, dst)] channel numbers its messages with a
       sequence number ([data_header_bytes] on the wire);
-    - the receiver keeps a dedup/reorder window — a contiguous watermark
-      plus the arrivals held above a gap — so each message's callback runs
+    - the receiver keeps a dedup/reorder window — the {!Chan} core's
+      contiguous watermark plus the arrivals held above a gap, up to
+      {!Chan.hold_cap} of them — so each message's callback runs
       exactly once and in channel order, no matter how many copies arrive
       or how late. It acks ([ack_bytes] on the wire) only arrivals the
       watermark covers: a delivered message or a below-watermark
@@ -139,40 +140,15 @@ val stats : t -> stats
     message is needed, because a retransmission below the restored
     watermark is acked as a duplicate and one at it is delivered. *)
 
-type channel_event =
-  | Next_seq of { src : int; dst : int; seq : int }
-      (** channel [(src, dst)]: the sender's next unused sequence number
-          advanced to [seq] — durable state of node [src] *)
-  | Expected of { src : int; dst : int; seq : int }
-      (** channel [(src, dst)]: the receiver's contiguous watermark
-          advanced to [seq] — durable state of node [dst] *)
-
-val set_persist : t -> (channel_event -> unit) -> unit
-(** Observe every sequence-state advance, for write-ahead logging. The
-    watermark event fires BEFORE the delivery callback runs, so journal
-    entries written from inside the callback follow it. *)
-
-val set_next_seq : t -> src:int -> dst:int -> int -> unit
-(** Monotonic: raises the channel's [next_seq] to the given value if it is
-    currently lower (mutating the live channel record — in-flight
-    retransmit closures observe the change). Used by WAL replay. *)
-
-val set_expected : t -> src:int -> dst:int -> int -> unit
-(** Monotonic watermark restore, same contract as {!set_next_seq}. *)
-
-val forget : t -> node:int -> unit
-(** Wipe the node's volatile channel state, as a crash does: [next_seq]
-    of its outgoing channels and the watermark + reorder window of its
-    incoming ones drop to zero, in place. Without a subsequent
-    {!restore}/{!set_next_seq}, the node would reuse sequence numbers its
-    peers have already seen. *)
-
-val snapshot : t -> node:int -> string
-(** Serialize the node's channel sequence state (for inclusion in a
-    checkpoint). Deterministic: channels are sorted, zero-state channels
-    are skipped. *)
-
-val restore : t -> node:int -> string -> unit
-(** Apply a {!snapshot} through {!set_next_seq}/{!set_expected} — i.e.
-    monotonically, so replaying an old snapshot over fresher state is a
-    no-op. @raise Dpc_util.Serialize.Corrupt on a malformed blob. *)
+val channels : t -> Chan.handle
+(** The layer's channel state behind the {!Chan.handle} seam, in the
+    [dpc-rel-v1] format: [snapshot] always returns a blob (channels still
+    at sequence 0 are skipped), [restore] goes through the monotonic
+    raises, every raise that moves reports its {!Chan.event}, and
+    [forget] wipes the node's [next_seq]s, watermarks and held windows
+    in place — and with them its parked tails and probe loops — as a
+    crash does. Without a subsequent [restore] or raises, the node would
+    reuse sequence numbers its peers have already seen. [Next_seq]
+    events fire at each send, [Expected] ones before the delivery they
+    cover, so journal entries written from inside the callback follow
+    them. *)

@@ -1,15 +1,14 @@
 module Clock = Dpc_util.Clock
 module Heap = Dpc_util.Heap
-module Serialize = Dpc_util.Serialize
 
-type config = { retransmit_every : float; dial_retry : float; hold_cap : int }
-
-let default_config = { retransmit_every = 0.25; dial_retry = 0.2; hold_cap = 1024 }
+(* Unacked-frame rescan period and the delay before re-dialing a failed
+   peer connection, seconds. *)
+let retransmit_every = 0.25
+let dial_retry = 0.2
 
 type persist_event =
   | Sent of { dst : int; seq : int; payload : string }
   | Acked of { dst : int; seq : int }
-  | Expected of { src : int; seq : int }
 
 type stats = {
   data_sent : int;
@@ -67,17 +66,14 @@ type conn = {
   outbound_to : int option;  (* [Some dst] on our dial to a peer *)
 }
 
+(* Sequences are 1-based, so an ack of 0 acknowledges nothing. *)
 type out_chan = {
-  mutable next_seq : int;  (* next sequence to assign; 1-based *)
+  tx : Chan.tx;
   mutable o_acked : int;  (* highest cumulatively acked sequence *)
   unacked : (int, string) Hashtbl.t;
 }
 
-type in_chan = {
-  mutable expected : int;  (* next sequence we will deliver *)
-  held_frames : (int, string) Hashtbl.t;  (* arrived early, waiting for the gap *)
-  mutable ack_due : bool;
-}
+type in_chan = { rx : string Chan.rx; mutable ack_due : bool }
 
 type timer = { at : float; tie : int; fn : unit -> unit }
 
@@ -85,7 +81,6 @@ type t = {
   nodes : int;
   local : int;
   addrs : addr array;
-  config : config;
   epoch : float;
   listen_fd : Unix.file_descr;
   listen_path : string option;
@@ -100,6 +95,7 @@ type t = {
   mutable deliver : (src:int -> payload:string -> unit) option;
   mutable control : (payload:string -> reply:(string -> unit) -> unit) option;
   mutable persist : (persist_event -> unit) option;
+  mutable chan_persist : (Chan.event -> unit) option;
   mutable sync : (unit -> unit) option;
   mutable delivered_any : bool;
   mutable stopped : bool;
@@ -136,7 +132,7 @@ let out_chan_of t dst =
   match Hashtbl.find_opt t.out_chans dst with
   | Some ch -> ch
   | None ->
-      let ch = { next_seq = 1; o_acked = 0; unacked = Hashtbl.create 16 } in
+      let ch = { tx = Chan.tx ~base:1; o_acked = 0; unacked = Hashtbl.create 16 } in
       Hashtbl.replace t.out_chans dst ch;
       ch
 
@@ -144,9 +140,21 @@ let in_chan_of t src =
   match Hashtbl.find_opt t.in_chans src with
   | Some ch -> ch
   | None ->
-      let ch = { expected = 1; held_frames = Hashtbl.create 16; ack_due = false } in
+      let ch = { rx = Chan.rx ~base:1; ack_due = false } in
       Hashtbl.replace t.in_chans src ch;
       ch
+
+(* Cumulative: an ack of [v] retires every unacked frame up to [v]. *)
+let raise_acked t ~dst v =
+  let ch = out_chan_of t dst in
+  v > ch.o_acked
+  && begin
+       for s = ch.o_acked + 1 to v do
+         Hashtbl.remove ch.unacked s
+       done;
+       ch.o_acked <- v;
+       true
+     end
 
 let conn_alive c = not (c.closed || c.connecting)
 
@@ -188,7 +196,7 @@ and arm_redial t dst =
   if not (Hashtbl.mem t.redial_armed dst) then begin
     Hashtbl.replace t.redial_armed dst ();
     schedule_at t
-      (now t +. t.config.dial_retry)
+      (now t +. dial_retry)
       (fun () ->
         Hashtbl.remove t.redial_armed dst;
         if want_peer t dst then ensure_dial t dst)
@@ -258,7 +266,7 @@ and resend_unacked t dst _c ~count_retransmits =
   match Hashtbl.find_opt t.out_chans dst with
   | None -> ()
   | Some ch ->
-      for seq = ch.o_acked + 1 to ch.next_seq - 1 do
+      for seq = ch.o_acked + 1 to Chan.next_seq ch.tx - 1 do
         match Hashtbl.find_opt ch.unacked seq with
         | Some payload ->
             if count_retransmits then t.m_retransmits <- t.m_retransmits + 1;
@@ -295,7 +303,8 @@ and transmit_data t dst wire =
 and send_ack_frame t peer c ch =
   t.m_acks_sent <- t.m_acks_sent + 1;
   enqueue_frame t c
-    (Wire.encode { kind = Ack; src = t.local; dst = peer; seq = ch.expected - 1; payload = "" })
+    (Wire.encode
+       { kind = Ack; src = t.local; dst = peer; seq = Chan.expected ch.rx - 1; payload = "" })
 
 let send_ack t peer =
   let ch = in_chan_of t peer in
@@ -314,8 +323,7 @@ let send_payload t ~dst payload =
   if dst = t.local then
     invalid_arg "Socket.send_payload: local destination goes through Transport.send";
   let ch = out_chan_of t dst in
-  let seq = ch.next_seq in
-  ch.next_seq <- seq + 1;
+  let seq = Chan.assign ch.tx in
   persist t (Sent { dst; seq; payload });
   Hashtbl.replace ch.unacked seq payload;
   t.m_data_sent <- t.m_data_sent + 1;
@@ -323,26 +331,6 @@ let send_payload t ~dst payload =
   let wire = Wire.encode { kind = Data; src = t.local; dst; seq; payload } in
   t.bytes_total <- t.bytes_total + String.length wire;
   transmit_data t dst wire
-
-let deliver_in_order t src ch first_payload =
-  let deliver_one payload =
-    let seq = ch.expected in
-    persist t (Expected { src; seq = seq + 1 });
-    ch.expected <- seq + 1;
-    t.m_data_received <- t.m_data_received + 1;
-    t.delivered_any <- true;
-    match t.deliver with Some f -> f ~src ~payload | None -> ()
-  in
-  deliver_one first_payload;
-  let continue = ref true in
-  while !continue do
-    match Hashtbl.find_opt ch.held_frames ch.expected with
-    | Some payload ->
-        Hashtbl.remove ch.held_frames ch.expected;
-        deliver_one payload
-    | None -> continue := false
-  done;
-  ch.ack_due <- true
 
 let handle_frame t c (f : Wire.frame) =
   match f.kind with
@@ -356,30 +344,25 @@ let handle_frame t c (f : Wire.frame) =
   | Data ->
       if f.dst = t.local then begin
         let ch = in_chan_of t f.src in
-        if f.seq < ch.expected then begin
-          t.m_dup_dropped <- t.m_dup_dropped + 1;
-          ch.ack_due <- true
-        end
-        else if f.seq = ch.expected then deliver_in_order t f.src ch f.payload
-        else if
-          Hashtbl.length ch.held_frames < t.config.hold_cap
-          && not (Hashtbl.mem ch.held_frames f.seq)
-        then begin
-          Hashtbl.replace ch.held_frames f.seq f.payload;
-          t.m_held <- t.m_held + 1
-        end
+        let advance seq =
+          match t.chan_persist with
+          | Some p -> p (Chan.Expected { src = f.src; dst = t.local; seq })
+          | None -> ()
+        in
+        let deliver payload =
+          t.m_data_received <- t.m_data_received + 1;
+          t.delivered_any <- true;
+          match t.deliver with Some d -> d ~src:f.src ~payload | None -> ()
+        in
+        (match Chan.accept ch.rx ~seq:f.seq f.payload ~advance ~deliver with
+        | Delivered | Overflow -> ()
+        | Duplicate -> t.m_dup_dropped <- t.m_dup_dropped + 1
+        | Held -> t.m_held <- t.m_held + 1);
+        if Chan.covers ch.rx f.seq then ch.ack_due <- true
       end
   | Ack when Hashtbl.mem t.blocked f.src ->
       t.m_blocked_drops <- t.m_blocked_drops + 1
-  | Ack ->
-      let ch = out_chan_of t f.src in
-      if f.seq > ch.o_acked then begin
-        for s = ch.o_acked + 1 to f.seq do
-          Hashtbl.remove ch.unacked s
-        done;
-        ch.o_acked <- f.seq;
-        persist t (Acked { dst = f.src; seq = f.seq })
-      end
+  | Ack -> if raise_acked t ~dst:f.src f.seq then persist t (Acked { dst = f.src; seq = f.seq })
   | Ctrl -> (
       match t.control with
       | Some h ->
@@ -535,7 +518,7 @@ let run_loop t ?until () =
 
 (* ---- lifecycle ------------------------------------------------------- *)
 
-let create ~nodes ~local ~addr_of ?(config = default_config) () =
+let create ~nodes ~local ~addr_of () =
   if nodes <= 0 then invalid_arg "Socket.create: nodes must be positive";
   if local < 0 || local >= nodes then invalid_arg "Socket.create: local node out of range";
   let addrs = Array.init nodes (fun i -> parse_addr (addr_of i)) in
@@ -560,7 +543,6 @@ let create ~nodes ~local ~addr_of ?(config = default_config) () =
       nodes;
       local;
       addrs;
-      config;
       epoch = Clock.now ();
       listen_fd;
       listen_path;
@@ -575,6 +557,7 @@ let create ~nodes ~local ~addr_of ?(config = default_config) () =
       deliver = None;
       control = None;
       persist = None;
+      chan_persist = None;
       sync = None;
       delivered_any = false;
       stopped = false;
@@ -598,10 +581,10 @@ let create ~nodes ~local ~addr_of ?(config = default_config) () =
   let rec scan () =
     if not t.stopped then begin
       retransmit_scan t;
-      schedule_at t (now t +. t.config.retransmit_every) scan
+      schedule_at t (now t +. retransmit_every) scan
     end
   in
-  schedule_at t (now t +. t.config.retransmit_every) scan;
+  schedule_at t (now t +. retransmit_every) scan;
   t
 
 let set_deliver t f = t.deliver <- Some f
@@ -637,88 +620,52 @@ let set_peer_blocked t ~peer blocked =
 
 let peer_blocked t ~peer = Hashtbl.mem t.blocked peer
 
-let set_next_seq t ~dst v =
-  let ch = out_chan_of t dst in
-  if v > ch.next_seq then ch.next_seq <- v
+let set_next_seq t ~dst v = ignore (Chan.raise_next_seq (out_chan_of t dst).tx v)
 
-let set_expected t ~src v =
-  let ch = in_chan_of t src in
-  if v > ch.expected then begin
-    ch.expected <- v;
-    Hashtbl.iter (fun s _ -> if s < v then Hashtbl.remove ch.held_frames s) (Hashtbl.copy ch.held_frames)
-  end
+let set_acked t ~dst v = ignore (raise_acked t ~dst v)
+let set_expected t ~src v = ignore (Chan.raise_expected (in_chan_of t src).rx v)
 
-let set_acked t ~dst v =
-  let ch = out_chan_of t dst in
-  if v > ch.o_acked then begin
-    for s = ch.o_acked + 1 to v do
-      Hashtbl.remove ch.unacked s
-    done;
-    ch.o_acked <- v
-  end
-
-let sender_next_seq t ~dst = (out_chan_of t dst).next_seq
+let sender_next_seq t ~dst = Chan.next_seq (out_chan_of t dst).tx
 
 let requeue t ~dst ~seq payload =
   let ch = out_chan_of t dst in
   if seq > ch.o_acked then begin
     Hashtbl.replace ch.unacked seq payload;
-    if seq >= ch.next_seq then ch.next_seq <- seq + 1;
+    ignore (Chan.raise_next_seq ch.tx (seq + 1));
     ensure_dial t dst
   end
 
-let chan_magic = "dpc-chan-v1"
-
-let snapshot_channels t =
-  let outs =
-    Hashtbl.fold
-      (fun dst ch acc -> if ch.next_seq > 1 || ch.o_acked > 0 then (dst, ch) :: acc else acc)
-      t.out_chans []
-    |> List.sort compare
-  in
-  let ins =
-    Hashtbl.fold (fun src ch acc -> if ch.expected > 1 then (src, ch.expected) :: acc else acc)
-      t.in_chans []
-    |> List.sort compare
-  in
-  Serialize.with_scratch (fun w ->
-      Serialize.write_string w chan_magic;
-      Serialize.write_list w
-        (fun (dst, ch) ->
-          Serialize.write_varint w dst;
-          Serialize.write_varint w ch.next_seq;
-          Serialize.write_varint w ch.o_acked)
-        outs;
-      Serialize.write_list w
-        (fun (src, expected) ->
-          Serialize.write_varint w src;
-          Serialize.write_varint w expected)
-        ins)
-
-let restore_channels t blob =
-  let r = Serialize.reader blob in
-  let magic = Serialize.read_string r in
-  if magic <> chan_magic then
-    raise (Serialize.Corrupt (Printf.sprintf "channel snapshot: bad magic %S" magic));
-  let outs =
-    Serialize.read_list r (fun () ->
-        let dst = Serialize.read_varint r in
-        let next_seq = Serialize.read_varint r in
-        let acked = Serialize.read_varint r in
-        (dst, next_seq, acked))
-  in
-  let ins =
-    Serialize.read_list r (fun () ->
-        let src = Serialize.read_varint r in
-        let expected = Serialize.read_varint r in
-        (src, expected))
-  in
-  List.iter
-    (fun (dst, next_seq, acked) ->
-      set_next_seq t ~dst next_seq;
-      set_acked t ~dst acked)
-    outs;
-  List.iter (fun (src, expected) -> set_expected t ~src expected) ins
+let channels t : Chan.handle =
+  let here node = node = t.local in
+  {
+    snapshot =
+      (fun ~node ->
+        if not (here node) then None
+        else
+          let sends = Hashtbl.fold (fun dst ch l -> (dst, ch.tx, ch.o_acked) :: l) t.out_chans [] in
+          let recvs = Hashtbl.fold (fun src ch l -> (src, ch.rx) :: l) t.in_chans [] in
+          Some (Chan.encode Chan_v1 ~sends ~recvs));
+    restore =
+      (fun ~node blob ->
+        if here node then begin
+          let sends, recvs = Chan.decode Chan_v1 blob in
+          List.iter
+            (fun (dst, next_seq, acked) ->
+              set_next_seq t ~dst next_seq;
+              set_acked t ~dst acked)
+            sends;
+          List.iter (fun (src, seq) -> set_expected t ~src seq) recvs
+        end);
+    raise_next_seq = (fun ~src ~dst v -> if here src then set_next_seq t ~dst v);
+    raise_expected = (fun ~src ~dst v -> if here dst then set_expected t ~src v);
+    forget =
+      (fun ~node ->
+        if here node then begin
+          Hashtbl.reset t.out_chans;
+          Hashtbl.reset t.in_chans
+        end);
+    set_persist = (fun f -> t.chan_persist <- Some f);
+  }
 
 let unacked t = Hashtbl.fold (fun _ ch acc -> acc + Hashtbl.length ch.unacked) t.out_chans 0
 

@@ -10,15 +10,15 @@
     deliveries still go through the event queue — run-to-completion of
     the current handler holds exactly as it does on the simulator.
 
-    {b Reliable's wire discipline, on the wire.} TCP gives FIFO bytes on
-    one connection, but a [kill -9] kills connections with the process —
-    so exactly-once effects across crashes need the same machinery
-    {!Reliable} implements in-process: every directed channel numbers
-    its data frames, the receiver keeps a contiguous watermark (plus a
-    hold-back window for reordered arrivals) and acks cumulatively, and
-    the sender retransmits unacked frames on a timer and on every
-    reconnect. The receiver persists its watermark advance BEFORE
-    running the delivery callback (see {!set_persist}) and acks only
+    {b The channel core, on the wire.} TCP gives FIFO bytes on one
+    connection, but a [kill -9] kills connections with the process — so
+    exactly-once effects across crashes need the same channel discipline
+    {!Reliable} drives in-process, and both drive the one {!Chan} core:
+    every directed channel numbers its data frames, the receiver keeps a
+    contiguous watermark plus a capped hold-back window and acks
+    cumulatively, and the sender retransmits unacked frames on a timer
+    and on every reconnect. The receiver persists its watermark advance
+    BEFORE running the delivery callback (see {!channels}) and acks only
     after {!set_sync} has flushed the effects — an ack is a durable
     promise, as {!Reliable}'s crash model demands.
 
@@ -35,22 +35,13 @@
 
     Addresses are ["unix:/path/to.sock"] or ["tcp:host:port"]. *)
 
-type config = {
-  retransmit_every : float;  (** unacked-frame rescan period, seconds *)
-  dial_retry : float;  (** delay before re-dialing a failed peer connection *)
-  hold_cap : int;  (** held out-of-order frames per channel before new ones are dropped *)
-}
-
-val default_config : config
-(** 250 ms retransmit scan, 200 ms dial retry, 1024 held frames. *)
-
-(** What the host must make durable, reported synchronously and in
-    order. [Sent] fires BEFORE the frame's first transmission; [Expected]
-    fires before the delivery callback it covers. *)
+(** What the host must make durable for its outbox, reported
+    synchronously and in order. [Sent] fires BEFORE the frame's first
+    transmission. Receive-watermark advances are channel state and go
+    through {!channels} instead. *)
 type persist_event =
   | Sent of { dst : int; seq : int; payload : string }
   | Acked of { dst : int; seq : int }  (** cumulative: every seq [<=] is acked *)
-  | Expected of { src : int; seq : int }  (** receive watermark advanced to [seq] *)
 
 type stats = {
   data_sent : int;
@@ -68,12 +59,12 @@ type stats = {
 
 type t
 
-val create :
-  nodes:int -> local:int -> addr_of:(int -> string) -> ?config:config -> unit -> t
+val create : nodes:int -> local:int -> addr_of:(int -> string) -> unit -> t
 (** Bind [addr_of local] and return a transport addressing the whole
     [nodes]-wide cluster with only [local] hosted here. Peers are dialed
-    on demand. @raise Invalid_argument on a bad node count, an
-    out-of-range [local], or a malformed address;
+    on demand (a failed dial retries after 200 ms) and unacked frames
+    are rescanned every 250 ms. @raise Invalid_argument on a bad node
+    count, an out-of-range [local], or a malformed address;
     @raise Unix.Unix_error if the listen address cannot be bound. *)
 
 val transport : t -> Transport.t
@@ -95,7 +86,7 @@ val send_payload : t -> dst:int -> string -> unit
 val set_deliver : t -> (src:int -> payload:string -> unit) -> unit
 (** The data-plane sink: runs exactly once per {!send_payload} at the
     sending process, in channel order, after the watermark advance was
-    reported through {!set_persist}. *)
+    reported through the {!channels} handle's [set_persist]. *)
 
 val set_control : t -> (payload:string -> reply:(string -> unit) -> unit) -> unit
 (** The control-plane handler: a [Ctrl] frame from a control client
@@ -143,27 +134,27 @@ val clear_chaos : t -> unit
 val set_next_seq : t -> dst:int -> int -> unit
 (** Monotonically raise the sender sequence of channel [(local, dst)]. *)
 
+val set_acked : t -> dst:int -> int -> unit
+(** Monotonically raise the cumulative ack watermark of channel
+    [(local, dst)], dropping the frames it covers from the unacked set. *)
+
 val sender_next_seq : t -> dst:int -> int
 (** The sequence the next {!send_payload} toward [dst] would take. After
-    {!restore_channels} this is the checkpoint cut's cursor — the
-    position replayed remote sends are reconciled against. *)
-
-val set_expected : t -> src:int -> int -> unit
-(** Monotonically raise the receive watermark of channel [(src, local)]. *)
+    a checkpoint restore this is the cut's cursor — the position
+    replayed remote sends are reconciled against. *)
 
 val requeue : t -> dst:int -> seq:int -> string -> unit
 (** Reload one unacked send from the durable outbox: the frame rejoins
     the retransmit set without a fresh [Sent] record (it already has
     one). Sends below the restored ack watermark are dropped. *)
 
-val snapshot_channels : t -> string
-(** Serialize every channel's sequence state (next_seq, acked, expected)
-    for inclusion in a durable checkpoint; deterministic, zero-state
-    channels skipped. *)
-
-val restore_channels : t -> string -> unit
-(** Monotonically apply a {!snapshot_channels} blob.
-    @raise Dpc_util.Serialize.Corrupt on a malformed blob. *)
+val channels : t -> Chan.handle
+(** The transport's channel state behind the {!Chan.handle} seam, in the
+    [dpc-chan-v1] format (next_seq, acked, expected per channel). Only
+    the local node has state here: [snapshot] of another node is [None],
+    and every operation addressed to another node is ignored. Raises do
+    not report events — the durable outbox, not the journal, is the
+    sender's cursor; [set_persist] observes the [Expected] advances. *)
 
 val unacked : t -> int
 (** Outstanding data frames across all channels (the outbox depth). *)

@@ -2,7 +2,6 @@ module Socket = Dpc_net.Socket
 module Backend = Dpc_core.Backend
 module Durable = Dpc_core.Durable
 module Runtime = Dpc_engine.Runtime
-module Journal = Dpc_engine.Journal
 module Tuple = Dpc_ndlog.Tuple
 
 type t = {
@@ -38,21 +37,16 @@ let rec create ~scheme ~nodes ~local ~addr_of ~dir ?(config = default_config) ?c
     Runtime.create ~transport:(Socket.transport sock) ~delp ~env ~hook:(Backend.hook backend)
       ~nodes:(Backend.nodes backend) ()
   in
+  (* Checkpoint cuts carry the transport's channel state, recovery pushes
+     the newest cut's blob back and replays the journaled watermarks, and
+     every watermark advance is journaled — all through this handle. *)
+  Runtime.set_channels runtime (Socket.channels sock);
   let durable =
     Durable.attach ~backend ~runtime ~control:real_process_control ~config ~disk:dir
       ~disk_nodes:(fun node -> node = local)
       ()
   in
   let outbox () = Option.get (Durable.outbox durable local) in
-  (* Checkpoint cuts carry the transport's channel sequence state; recovery
-     pushes the newest cut's blob back (monotonic, so WAL entries replayed
-     afterwards can only advance it further). *)
-  Durable.set_channel_state durable
-    ~snapshot:(fun node -> if node = local then Some (Socket.snapshot_channels sock) else None)
-    ~restore:(fun node blob -> if node = local then Socket.restore_channels sock blob);
-  Runtime.set_channel_restore runtime
-    ~next_seq:(fun ~peer ~seq -> Socket.set_next_seq sock ~dst:peer seq)
-    ~expected:(fun ~peer ~seq -> Socket.set_expected sock ~src:peer seq);
   (* Replay reconciliation: remote sends regenerated while the WAL replays
      arrive in channel order starting at the restored cut's cursor. A send
      whose position the outbox already recorded needs nothing (its frame is
@@ -83,9 +77,7 @@ let rec create ~scheme ~nodes ~local ~addr_of ~dir ?(config = default_config) ?c
              record whose origin the journal never saw. *)
           Durable.flush_wal durable local;
           Durable.Outbox.record_send (outbox ()) ~dst ~seq payload
-      | Socket.Acked { dst; seq } -> Durable.Outbox.record_ack (outbox ()) ~dst ~seq
-      | Socket.Expected { src; seq } ->
-          Durable.journal durable local (Journal.Expected { peer = src; seq }));
+      | Socket.Acked { dst; seq } -> Durable.Outbox.record_ack (outbox ()) ~dst ~seq);
   (* The ack of a delivery batch is a durable promise: flush before acks. *)
   Socket.set_sync sock (fun () -> Durable.flush_wal durable local);
   Socket.set_deliver sock (fun ~src:_ ~payload -> Runtime.deliver_remote runtime ~node:local payload);

@@ -426,6 +426,19 @@ let test_crashable_idempotent_and_ranged () =
   | _ -> Alcotest.fail "out-of-range is_up accepted"
   | exception Invalid_argument _ -> ()
 
+(* The two owners of channel state behind the one [Chan.handle] seam: an
+   in-process Reliable layer (dpc-rel-v1, node 0 sends to 1, node 2 to 0)
+   and a socket transport (dpc-chan-v1, local node 0 with sender, ack and
+   receiver state). [nodes] are the nodes whose state the codec tests
+   round-trip; [advance] moves node 0's channels past any earlier
+   snapshot. *)
+type chan_world = {
+  handle : Chan.handle;
+  nodes : int list;
+  advance : unit -> unit;
+  close : unit -> unit;
+}
+
 let reliable_world () =
   let rel = Reliable.wrap (Transport.direct ~nodes:3 ()) in
   let tr = Reliable.transport rel in
@@ -434,55 +447,304 @@ let reliable_world () =
   done;
   Transport.send tr ~src:2 ~dst:0 ~bytes:50 (fun () -> ());
   Transport.run tr;
-  (rel, tr)
+  let advance () =
+    Transport.send tr ~src:0 ~dst:1 ~bytes:50 (fun () -> ());
+    Transport.run tr
+  in
+  { handle = Reliable.channels rel; nodes = [ 0; 1 ]; advance; close = ignore }
 
-let test_reliable_snapshot_roundtrip () =
-  let rel, _ = reliable_world () in
-  let sender = Reliable.snapshot rel ~node:0 in
-  let receiver = Reliable.snapshot rel ~node:1 in
-  (* Forget wipes the state a crash would take; restore rebuilds it, and a
-     re-snapshot is byte-identical. *)
-  Reliable.forget rel ~node:0;
-  check Alcotest.bool "forget changed the sender state" true
-    (Reliable.snapshot rel ~node:0 <> sender);
-  Reliable.restore rel ~node:0 sender;
-  check Alcotest.string "sender state round-trips" sender (Reliable.snapshot rel ~node:0);
-  Reliable.forget rel ~node:1;
-  Reliable.restore rel ~node:1 receiver;
-  check Alcotest.string "receiver state round-trips" receiver (Reliable.snapshot rel ~node:1)
+let socket_world () =
+  let dir = Filename.temp_dir "dpc-chan-" "" in
+  let sock =
+    Socket.create ~nodes:3 ~local:0 ~addr_of:(Printf.sprintf "unix:%s/n%d.sock" dir) ()
+  in
+  let handle = Socket.channels sock in
+  Socket.set_next_seq sock ~dst:1 5;
+  Socket.set_acked sock ~dst:1 3;
+  Socket.set_next_seq sock ~dst:2 2;
+  handle.raise_expected ~src:2 ~dst:0 7;
+  let advance () =
+    handle.raise_next_seq ~src:0 ~dst:1 9;
+    handle.raise_expected ~src:2 ~dst:0 9
+  in
+  let close () =
+    Socket.close sock;
+    Sys.rmdir dir
+  in
+  { handle; nodes = [ 0 ]; advance; close }
 
-let test_reliable_restore_is_monotonic () =
-  let rel, tr = reliable_world () in
-  let old = Reliable.snapshot rel ~node:0 in
-  (* Advance the channel past the snapshot, then replay the stale blob:
-     nothing may move backwards. *)
-  Transport.send tr ~src:0 ~dst:1 ~bytes:50 (fun () -> ());
-  Transport.run tr;
-  let fresh = Reliable.snapshot rel ~node:0 in
-  check Alcotest.bool "the channel advanced" true (fresh <> old);
-  Reliable.restore rel ~node:0 old;
-  check Alcotest.string "stale restore is a no-op" fresh (Reliable.snapshot rel ~node:0)
+let with_chan_worlds f =
+  List.iter
+    (fun (name, make) ->
+      let w = make () in
+      Fun.protect ~finally:w.close (fun () -> f name w))
+    [ ("reliable", reliable_world); ("socket", socket_world) ]
+
+let snapshot w node = Option.get (w.handle.snapshot ~node)
+
+let test_channel_snapshot_roundtrip () =
+  with_chan_worlds (fun name w ->
+    List.iter
+      (fun node ->
+        let saved = snapshot w node in
+        (* Forget wipes the state a crash would take; restore rebuilds it,
+           and a re-snapshot is byte-identical. *)
+        w.handle.forget ~node;
+        check Alcotest.bool
+          (Printf.sprintf "%s: forget changed node %d's state" name node)
+          true (snapshot w node <> saved);
+        w.handle.restore ~node saved;
+        check Alcotest.string
+          (Printf.sprintf "%s: node %d's state round-trips" name node)
+          saved (snapshot w node))
+      w.nodes)
+
+let test_channel_restore_is_monotonic () =
+  with_chan_worlds (fun name w ->
+    let old = snapshot w 0 in
+    (* Advance the channels past the snapshot, then replay the stale blob:
+       nothing may move backwards. *)
+    w.advance ();
+    let fresh = snapshot w 0 in
+    check Alcotest.bool (name ^ ": the channels advanced") true (fresh <> old);
+    w.handle.restore ~node:0 old;
+    check Alcotest.string (name ^ ": stale restore is a no-op") fresh (snapshot w 0))
 
 let test_reliable_persist_observes_advances () =
   let rel = Reliable.wrap (Transport.direct ~nodes:2 ()) in
   let tr = Reliable.transport rel in
   let events = ref [] in
-  Reliable.set_persist rel (fun ev -> events := ev :: !events);
+  (Reliable.channels rel).set_persist (fun ev -> events := ev :: !events);
   Transport.send tr ~src:0 ~dst:1 ~bytes:10 (fun () -> ());
   Transport.run tr;
-  let next_seqs =
-    List.filter (function Reliable.Next_seq _ -> true | _ -> false) !events
-  and expecteds =
-    List.filter (function Reliable.Expected _ -> true | _ -> false) !events
-  in
+  let next_seqs = List.filter (function Chan.Next_seq _ -> true | _ -> false) !events
+  and expecteds = List.filter (function Chan.Expected _ -> true | _ -> false) !events in
   check Alcotest.int "one sender advance" 1 (List.length next_seqs);
   check Alcotest.int "one watermark advance" 1 (List.length expecteds)
 
-let test_reliable_restore_rejects_garbage () =
-  let rel, _ = reliable_world () in
-  match Reliable.restore rel ~node:0 "not a snapshot" with
-  | () -> Alcotest.fail "garbage accepted"
-  | exception Dpc_util.Serialize.Corrupt _ -> ()
+let test_channel_restore_rejects_garbage () =
+  (* Each codec rejects garbage and the other codec's blob alike. *)
+  let blobs = ref [] in
+  with_chan_worlds (fun _ w -> blobs := snapshot w 0 :: !blobs);
+  let other = function "reliable" -> List.nth !blobs 0 | _ -> List.nth !blobs 1 in
+  with_chan_worlds (fun name w ->
+    List.iter
+      (fun blob ->
+        match w.handle.restore ~node:0 blob with
+        | () -> Alcotest.failf "%s: accepted %S" name blob
+        | exception Dpc_util.Serialize.Corrupt _ -> ())
+      [ "not a snapshot"; other name ])
+
+let hex s =
+  String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+(* Both channel-state formats pinned byte for byte. The Reliable blobs
+   come from a seeded lossy run (drops, duplicates and delays on every
+   channel), mid-run and after quiescence; its delivery counters are
+   pinned with them, so the run itself cannot drift. The socket blob
+   carries sender, ack and receiver rows. Never edit these values: a
+   change here is a change of an on-disk format. *)
+let test_channel_goldens () =
+  let inner, _ =
+    Transport.faulty
+      ~config:(Transport.fault_config ~drop:0.2 ~duplicate:0.1 ~delay:0.2 ~delay_max:0.05 ())
+      ~rng:(Dpc_util.Rng.create ~seed:42) (Transport.direct ~nodes:3 ())
+  in
+  let rel = Reliable.wrap inner in
+  let tr = Reliable.transport rel in
+  let got = Array.make_matrix 3 3 [] in
+  for i = 0 to 19 do
+    for src = 0 to 2 do
+      for dst = 0 to 2 do
+        if src <> dst && (i < 12 || src <> 2) then
+          Transport.send tr ~src ~dst ~bytes:40 (fun () -> got.(src).(dst) <- i :: got.(src).(dst))
+      done
+    done
+  done;
+  let blobs () =
+    List.init 3 (fun node -> hex (Option.get ((Reliable.channels rel).snapshot ~node)))
+  in
+  Transport.run ~until:0.04 tr;
+  check (Alcotest.list Alcotest.string) "dpc-rel-v1 mid-run"
+    [
+      "0a6470632d72656c2d763102011402140201030205";
+      "0a6470632d72656c2d763102001402140200060202";
+      "0a6470632d72656c2d763102000c010c010107";
+    ]
+    (blobs ());
+  Transport.run tr;
+  check (Alcotest.list Alcotest.string) "dpc-rel-v1 quiescent"
+    [
+      "0a6470632d72656c2d76310201140214020114020c";
+      "0a6470632d72656c2d76310200140214020014020c";
+      "0a6470632d72656c2d763102000c010c0200140114";
+    ]
+    (blobs ());
+  let s = Reliable.stats rel in
+  check (Alcotest.list Alcotest.int) "data, retransmits, acks, dup_dropped, held"
+    [ 104; 283; 156; 246; 74 ]
+    [ s.data_msgs; s.retransmits; s.acks; s.dup_dropped; s.held ];
+  for src = 0 to 2 do
+    for dst = 0 to 2 do
+      if src <> dst then
+        check (Alcotest.list Alcotest.int) "exactly once, in order"
+          (List.init (if src = 2 then 12 else 20) Fun.id)
+          (List.rev got.(src).(dst))
+    done
+  done;
+  let w = socket_world () in
+  Fun.protect ~finally:w.close (fun () ->
+    check Alcotest.string "dpc-chan-v1" "0b6470632d6368616e2d763102010503020200010207"
+      (hex (snapshot w 0)))
+
+(* ------------------------------------------------------------------ *)
+(* The channel model: the receive window of [Chan] against its spec.
+   [n] messages are sent on one channel; [arrivals] lists the message
+   indices that reach the receiver, in arrival order — a missing index
+   is a drop, a repeated one a duplicate, an out-of-order one a reorder.
+   At [crash_at] (an arrival position) the receiver crashes: its state
+   goes through the codec (snapshot), is wiped (forget) and comes back
+   (restore). Afterwards the sender retransmits every message in order,
+   as the unacked tail eventually is. The spec: what is delivered is at
+   every moment a prefix of what was sent, each message exactly once, in
+   order; the watermark covering a delivery is persisted before it; and
+   after the final retransmission everything has been delivered. *)
+
+let run_channel_model ~format ~n ~arrivals ~crash_at =
+  let base = match format with Chan.Rel_v1 -> 0 | Chan.Chan_v1 -> 1 in
+  let tx = Chan.tx ~base in
+  let sent = Array.init n (fun _ -> Chan.assign tx) in
+  let rx = Chan.rx ~base in
+  let persisted = ref base and delivered = ref [] and errors = ref [] in
+  let fail fmt = Printf.ksprintf (fun e -> errors := e :: !errors) fmt in
+  let advance w = persisted := w in
+  let deliver seq =
+    if !persisted <> seq + 1 then
+      fail "seq %d delivered with watermark %d persisted" seq !persisted;
+    let k = List.length !delivered in
+    if k >= n || sent.(k) <> seq then fail "delivery %d is seq %d, not the next sent" k seq;
+    delivered := seq :: !delivered
+  in
+  (* Liveness: the window holds nothing it could deliver. [arrived] is
+     what the receiver has seen since its last crash (or delivered). *)
+  let arrived = Array.make n false in
+  let arrive i =
+    arrived.(i) <- true;
+    (match Chan.accept rx ~seq:sent.(i) sent.(i) ~advance ~deliver with
+    | Overflow -> fail "overflow with %d messages" n
+    | Delivered | Duplicate | Held -> ());
+    let rec first_gap k = if k < n && arrived.(k) then first_gap (k + 1) else k in
+    if List.length !delivered <> first_gap 0 then
+      fail "%d delivered, but the first %d have arrived" (List.length !delivered) (first_gap 0)
+  in
+  let crash () =
+    Array.iteri (fun i _ -> if i >= List.length !delivered then arrived.(i) <- false) arrived;
+    let blob = Chan.encode format ~sends:[] ~recvs:[ (7, rx) ] in
+    Chan.reset_rx rx;
+    let _, recvs = Chan.decode format blob in
+    List.iter (fun (_, seq) -> ignore (Chan.raise_expected rx seq)) recvs;
+    if Chan.expected rx <> !persisted then
+      fail "restored watermark %d, persisted %d" (Chan.expected rx) !persisted
+  in
+  List.iteri
+    (fun pos i ->
+      if crash_at = Some pos then crash ();
+      arrive i)
+    arrivals;
+  if crash_at = Some (List.length arrivals) then crash ();
+  Array.iteri (fun i _ -> arrive i) sent;
+  if List.rev !delivered <> Array.to_list sent then
+    fail "delivered [%s] after the final retransmission"
+      (String.concat ";" (List.rev_map string_of_int !delivered));
+  List.rev !errors
+
+let schedule_gen =
+  QCheck.Gen.(
+    int_range 0 12 >>= fun n ->
+    let index = if n = 0 then return [] else list_size (int_range 0 (3 * n)) (int_bound (n - 1)) in
+    index >>= fun arrivals ->
+    opt (int_bound (List.length arrivals)) >>= fun crash_at ->
+    oneofl [ Chan.Rel_v1; Chan.Chan_v1 ] >|= fun format -> (format, n, arrivals, crash_at))
+
+let prop_channel_model =
+  QCheck.Test.make ~name:"random drop/dup/reorder + receiver crash" ~count:2000
+    (QCheck.make schedule_gen ~print:(fun (_, n, arrivals, crash_at) ->
+         Printf.sprintf "n=%d arrivals=[%s] crash_at=%s" n
+           (String.concat ";" (List.map string_of_int arrivals))
+           (match crash_at with Some k -> string_of_int k | None -> "none")))
+    (fun (format, n, arrivals, crash_at) ->
+      match run_channel_model ~format ~n ~arrivals ~crash_at with
+      | [] -> true
+      | errors -> QCheck.Test.fail_report (String.concat "; " errors))
+
+(* Every arrival interleaving of up to three messages, each arriving zero,
+   one or two times, with no crash and with a crash at every position. *)
+let test_channel_model_exhaustive () =
+  let rec interleavings counts =
+    if Array.for_all (( = ) 0) counts then [ [] ]
+    else
+      List.concat
+        (List.init (Array.length counts) (fun i ->
+             if counts.(i) = 0 then []
+             else begin
+               let rest = Array.copy counts in
+               rest.(i) <- rest.(i) - 1;
+               List.map (fun tail -> i :: tail) (interleavings rest)
+             end))
+  in
+  let rec copies n =
+    if n = 0 then [ [] ]
+    else List.concat_map (fun c -> List.map (fun cs -> c :: cs) (copies (n - 1))) [ 0; 1; 2 ]
+  in
+  let runs = ref 0 in
+  for n = 0 to 3 do
+    List.iter
+      (fun cs ->
+        List.iter
+          (fun arrivals ->
+            let len = List.length arrivals in
+            List.iter
+              (fun crash_at ->
+                List.iter
+                  (fun format ->
+                    incr runs;
+                    match run_channel_model ~format ~n ~arrivals ~crash_at with
+                    | [] -> ()
+                    | e :: _ ->
+                        Alcotest.failf "n=%d arrivals=[%s]: %s" n
+                          (String.concat ";" (List.map string_of_int arrivals)) e)
+                  [ Chan.Rel_v1; Chan.Chan_v1 ])
+              (None :: List.init (len + 1) Option.some))
+          (interleavings (Array.of_list cs)))
+      (copies n)
+  done;
+  (* sum over arrival multisets of (interleavings x (crash points + 1)),
+     for both formats *)
+  check Alcotest.int "every schedule ran" 3884 !runs
+
+(* The window's refusal and pruning edges: a full window refuses rather
+   than grows, and a raised watermark drops what it covers. *)
+let test_channel_window_edges () =
+  let rx = Chan.rx ~base:0 in
+  let advance _ = () and deliver _ = Alcotest.fail "delivered across a gap" in
+  for seq = 1 to Chan.hold_cap do
+    check Alcotest.bool "held" true (Chan.accept rx ~seq () ~advance ~deliver = Held)
+  done;
+  check Alcotest.bool "a full window refuses" true
+    (Chan.accept rx ~seq:(Chan.hold_cap + 1) () ~advance ~deliver = Overflow);
+  check Alcotest.bool "a held re-arrival is a duplicate" true
+    (Chan.accept rx ~seq:1 () ~advance ~deliver = Duplicate);
+  check Alcotest.bool "raise moves" true (Chan.raise_expected rx 10);
+  check Alcotest.bool "raise is monotonic" false (Chan.raise_expected rx 5);
+  check Alcotest.bool "the raise freed the covered slots" true
+    (Chan.accept rx ~seq:(Chan.hold_cap + 1) () ~advance ~deliver = Held);
+  check Alcotest.bool "covered arrivals are duplicates" true
+    (Chan.accept rx ~seq:9 () ~advance ~deliver = Duplicate);
+  let count = ref 0 in
+  check Alcotest.bool "the held copy at the watermark delivers, then the rest drains" true
+    (Chan.accept rx ~seq:10 () ~advance ~deliver:(fun () -> incr count) = Delivered);
+  check Alcotest.int "everything from 10 up to the cap + 1" (Chan.hold_cap - 8) !count;
+  check Alcotest.int "watermark past the window" (Chan.hold_cap + 2) (Chan.expected rx)
 
 (* ------------------------------------------------------------------ *)
 (* Partition faults: the partitionable wrapper, outage plans, backoff
@@ -747,13 +1009,21 @@ let () =
           Alcotest.test_case "idempotent + range checks" `Quick
             test_crashable_idempotent_and_ranged;
           Alcotest.test_case "channel snapshot round-trips" `Quick
-            test_reliable_snapshot_roundtrip;
-          Alcotest.test_case "stale restore is a no-op" `Quick test_reliable_restore_is_monotonic;
+            test_channel_snapshot_roundtrip;
+          Alcotest.test_case "stale restore is a no-op" `Quick test_channel_restore_is_monotonic;
           Alcotest.test_case "persist observes advances" `Quick
             test_reliable_persist_observes_advances;
           Alcotest.test_case "garbage snapshot rejected" `Quick
-            test_reliable_restore_rejects_garbage;
+            test_channel_restore_rejects_garbage;
+          Alcotest.test_case "channel format goldens" `Quick test_channel_goldens;
         ] );
+      ( "channel model",
+        [
+          Alcotest.test_case "exhaustive interleavings, <= 3 messages" `Quick
+            test_channel_model_exhaustive;
+          Alcotest.test_case "window edges" `Quick test_channel_window_edges;
+        ]
+        @ qsuite [ prop_channel_model ] );
       ( "partition faults",
         [
           Alcotest.test_case "directed links + counters" `Quick test_partitionable_directed_links;

@@ -311,7 +311,7 @@ let test_socket_pair () =
           Socket.set_deliver a (fun ~src ~payload -> got_a := (src, payload) :: !got_a);
           Socket.set_deliver b (fun ~src ~payload -> got_b := (src, payload) :: !got_b);
           let persist_b = ref [] in
-          Socket.set_persist b (fun ev -> persist_b := ev :: !persist_b);
+          (Socket.channels b).set_persist (fun ev -> persist_b := ev :: !persist_b);
           let ta = Socket.transport a and tb = Socket.transport b in
           for i = 1 to 5 do
             Socket.send_payload a ~dst:1 (Printf.sprintf "a->b %d" i)
@@ -334,7 +334,8 @@ let test_socket_pair () =
              before the deliveries it covers. *)
           let expected_marks =
             List.filter_map
-              (function Socket.Expected { src = 0; seq } -> Some seq | _ -> None)
+              (function
+                | Dpc_net.Chan.Expected { src = 0; dst = 1; seq } -> Some seq | _ -> None)
               (List.rev !persist_b)
           in
           check (Alcotest.list Alcotest.int) "watermark advances in order" [ 2; 3; 4; 5; 6 ]
@@ -342,6 +343,39 @@ let test_socket_pair () =
           let sa = Socket.stats a in
           check Alcotest.int "a sent five" 5 sa.data_sent;
           check Alcotest.int "a received one" 1 sa.data_received))
+
+(* A frame re-arriving while it is already held above a gap is a
+   duplicate and counted as one, exactly as the simulator's layer counts
+   it; the gap's arrival then drains the window in order. The peer is a
+   raw wire client, so the schedule of arrivals is exact. *)
+let test_socket_held_duplicate_counted () =
+  with_temp_dir "dpc-sock" (fun dir ->
+      let addr_of node = Printf.sprintf "unix:%s/n%d.sock" dir node in
+      let b = Socket.create ~nodes:2 ~local:1 ~addr_of () in
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () ->
+          (try Unix.close fd with _ -> ());
+          Socket.close b)
+        (fun () ->
+          let got = ref [] in
+          Socket.set_deliver b (fun ~src:_ ~payload -> got := payload :: !got);
+          Unix.connect fd (Unix.ADDR_UNIX (Filename.concat dir "n1.sock"));
+          let send frames =
+            let bytes = String.concat "" (List.map Wire.encode frames) in
+            ignore (Unix.write_substring fd bytes 0 (String.length bytes))
+          in
+          let data seq = frame Data ~src:0 ~dst:1 ~seq (Printf.sprintf "m%d" seq) in
+          send [ frame Hello ~src:0 ~dst:1 ~seq:0 ""; data 2; data 2; data 3 ];
+          let tb = Socket.transport b in
+          pump [ tb ] ~tag:"held arrivals" ~until_cond:(fun () -> (Socket.stats b).held = 2);
+          let s = Socket.stats b in
+          check Alcotest.int "the re-arrival is a counted duplicate" 1 s.dup_dropped;
+          check Alcotest.int "nothing delivered across the gap" 0 s.data_received;
+          send [ data 1 ];
+          pump [ tb ] ~tag:"gap fills" ~until_cond:(fun () -> (Socket.stats b).data_received = 3);
+          check (Alcotest.list Alcotest.string) "in order, once each" [ "m1"; "m2"; "m3" ]
+            (List.rev !got)))
 
 (* ------------------------------------------------------------------ *)
 (* Durable disk recovery, in-process: the same forwarding scenario the
@@ -440,7 +474,11 @@ let () =
           Alcotest.test_case "torn tail dropped" `Quick test_outbox_torn_tail;
         ] );
       ("control protocol", [ Alcotest.test_case "round-trip" `Quick test_ctrl_roundtrip ]);
-      ("socket transport", [ Alcotest.test_case "duplex pair" `Quick test_socket_pair ]);
+      ( "socket transport",
+        [
+          Alcotest.test_case "duplex pair" `Quick test_socket_pair;
+          Alcotest.test_case "held re-arrival counted" `Quick test_socket_held_duplicate_counted;
+        ] );
       ( "disk recovery",
         [ Alcotest.test_case "digest equality, all schemes" `Quick test_disk_recovery ] );
     ]
