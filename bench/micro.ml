@@ -29,16 +29,25 @@ let static_analysis =
   Test.make ~name:"analysis/GetEquiKeys(dns)"
     (Staged.stage (fun () -> Dpc_analysis.Equi_keys.compute delp))
 
+let forwarding_r1 = Dpc_engine.Eval.plan (List.hd (Dpc_apps.Forwarding.delp ()).program.rules)
+
 let rule_fire =
-  let delp = Dpc_apps.Forwarding.delp () in
-  let rule = List.hd delp.program.rules in
   let db = Dpc_engine.Db.create () in
   List.iter
     (fun d -> ignore (Dpc_engine.Db.insert db (Dpc_apps.Forwarding.route ~at:0 ~dst:d ~next:1)))
     [ 1; 2; 3; 4; 5; 6; 7; 8 ];
-  Test.make ~name:"eval/fire(join of 8 routes)"
+  Test.make ~name:"eval/fire_planned(join of 8 routes)"
     (Staged.stage (fun () ->
-       Dpc_engine.Eval.fire ~env:Dpc_apps.Forwarding.env ~db ~rule ~event:packet))
+       Dpc_engine.Eval.fire_planned ~env:Dpc_apps.Forwarding.env ~db ~plan:forwarding_r1
+         ~event:packet))
+
+(* Query-time re-derivation of one hop from its recorded route. *)
+let rule_rederive =
+  let slow = [ Dpc_apps.Forwarding.route ~at:0 ~dst:2 ~next:1 ] in
+  Test.make ~name:"eval/fire_with_slow"
+    (Staged.stage (fun () ->
+       Dpc_engine.Eval.fire_with_slow ~env:Dpc_apps.Forwarding.env ~plan:forwarding_r1
+         ~event:packet ~slow))
 
 (* End-to-end recording cost: one packet through the 3-node example under
    each scheme, amortized. *)
@@ -80,6 +89,7 @@ let tests =
       equi_key_hash;
       static_analysis;
       rule_fire;
+      rule_rederive;
       record_scheme Dpc_core.Backend.S_exspan;
       record_scheme Dpc_core.Backend.S_basic;
       record_scheme Dpc_core.Backend.S_advanced;

@@ -116,11 +116,6 @@ let require_up acct node =
     raise (Broken (Printf.sprintf "node %d is down" node))
   end
 
-let rule_named (delp : Delp.t) name =
-  match List.find_opt (fun (r : Ast.rule) -> String.equal r.name name) delp.program.rules with
-  | Some r -> r
-  | None -> raise (Broken (Printf.sprintf "unknown rule %s" name))
-
 let lookup acct store key =
   match Side_store.get store ~key with
   | Some tuple ->
@@ -140,7 +135,7 @@ type layout =
 
 type 'a chains = {
   env : 'a -> Dpc_engine.Env.t;
-  find_rule : 'a -> string -> Ast.rule;
+  find_plan : 'a -> string -> Dpc_engine.Eval.plan;
   chain_rows : 'a -> int -> layout;
   slow : 'a -> int -> Side_store.t;
   leaf : 'a -> acct -> evid:Sha1.t option -> Rows.rule_exec_row -> Tuple.t * Sha1.t list;
@@ -206,10 +201,12 @@ let fetch_chains acct src x ~start rref =
    joined, fetched at the executing node. *)
 let fire acct src x (row : Rows.rule_exec_row) ~event ~slow_vids trigger =
   let slow = List.map (lookup acct (src.slow x row.rloc)) slow_vids in
-  let rule = src.find_rule x row.rule in
+  let plan = src.find_plan x row.rule in
   charge_rederive acct 1;
-  match Dpc_engine.Eval.fire_with_slow ~env:(src.env x) ~rule ~event ~slow with
-  | Some head -> ({ Prov_tree.rule = rule.name; output = head; trigger; slow }, head)
+  match Dpc_engine.Eval.fire_with_slow ~env:(src.env x) ~plan ~event ~slow with
+  | Some head ->
+      let rule = (Dpc_engine.Eval.plan_rule plan).name in
+      ({ Prov_tree.rule; output = head; trigger; slow }, head)
   | None -> raise (Broken "re-derivation failed")
 
 (* Step 2: re-derive the intermediate events from the leaf upward,
@@ -301,6 +298,7 @@ type 's node = {
 type ('c, 's) t = {
   delp : Delp.t;
   env : Dpc_engine.Env.t;
+  plans : (string, Dpc_engine.Eval.plan) Hashtbl.t;  (* rule name -> plan, for re-derivation *)
   conf : 'c;
   policy : ('c, 's) policy;
   nodes : Node.t array;
@@ -339,7 +337,11 @@ let create policy ~conf ~delp ~env ~nodes =
     let s = policy.fresh () in
     { s; parts = policy.parts s; gen = 0 }
   in
-  { delp; env; conf; policy; nodes = Node.cluster nodes;
+  let plans = Hashtbl.create 8 in
+  List.iter
+    (fun (r : Ast.rule) -> Hashtbl.replace plans r.name (Dpc_engine.Eval.plan r))
+    delp.Delp.program.rules;
+  { delp; env; plans; conf; policy; nodes = Node.cluster nodes;
     key = Node.key ~name:("store." ^ policy.slug) (); init; track_dirty = false;
     degraded_sink = None; cache = None; reset_hooked = false }
 
@@ -349,6 +351,12 @@ let nodes t = t.nodes
 let conf t = t.conf
 let delp t = t.delp
 let env t = t.env
+
+let plan_named t name =
+  match Hashtbl.find_opt t.plans name with
+  | Some p -> p
+  | None -> raise (Broken (Printf.sprintf "unknown rule %s" name))
+
 let tracking t = t.track_dirty
 let set_track_dirty t on = t.track_dirty <- on
 let hook t = t.policy.hook t

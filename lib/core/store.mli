@@ -79,9 +79,6 @@ val require_up : acct -> int -> unit
 (** Call before reading any state at a node. A down node costs the
     bounded retry budget, marks the result partial, and raises {!Broken}. *)
 
-val rule_named : Dpc_ndlog.Delp.t -> string -> Dpc_ndlog.Ast.rule
-(** @raise Broken for an unknown rule. *)
-
 val lookup : acct -> Side_store.t -> Dpc_util.Sha1.t -> Dpc_ndlog.Tuple.t
 (** Fetch a materialized tuple, charging its wire size.
     @raise Broken if it is absent. *)
@@ -99,7 +96,8 @@ type layout =
 
 type 'a chains = {
   env : 'a -> Dpc_engine.Env.t;
-  find_rule : 'a -> string -> Dpc_ndlog.Ast.rule;
+  find_plan : 'a -> string -> Dpc_engine.Eval.plan;
+      (** the compiled rule a chain row names, for re-derivation *)
   chain_rows : 'a -> int -> layout;  (** the chain rows at a node *)
   slow : 'a -> int -> Side_store.t;  (** the slow-tuple store at a node *)
   leaf :
@@ -206,6 +204,10 @@ val state : ('c, 's) t -> int -> 's
 val conf : ('c, 's) t -> 'c
 val delp : ('c, 's) t -> Dpc_ndlog.Delp.t
 val env : ('c, 's) t -> Dpc_engine.Env.t
+
+val plan_named : ('c, 's) t -> string -> Dpc_engine.Eval.plan
+(** The program's rule of that name, compiled once at {!create}.
+    @raise Broken for an unknown rule. *)
 
 val tracking : ('c, 's) t -> bool
 (** Whether dirty tracking is on (see {!set_track_dirty}). *)

@@ -183,7 +183,7 @@ let interclass t = (Store.conf t).interclass
 let chains =
   {
     Store.env = Store.env;
-    find_rule = (fun t name -> Store.rule_named (Store.delp t) name);
+    find_plan = Store.plan_named;
     chain_rows =
       (fun t node ->
         let st = Store.state t node in

@@ -55,7 +55,7 @@ let hook t =
 let chains =
   {
     Store.env = Store.env;
-    find_rule = (fun t name -> Store.rule_named (Store.delp t) name);
+    find_plan = Store.plan_named;
     chain_rows = (fun t node -> Store.Chained (Store.state t node).rule_exec.rows);
     slow = (fun t node -> (Store.state t node).slow_tuples.tuples);
     leaf =

@@ -108,7 +108,7 @@ let rec fetch_trees t acct ~at ~output (rloc, rid) =
   in
   Store.charge_entries acct 1;
   Store.charge_bytes acct (Rows.rule_exec_row_bytes ~with_next:false exec);
-  ignore (Store.rule_named (Store.delp t) exec.rule);
+  ignore (Store.plan_named t exec.rule);
   (* vids = slow tuples followed by the event. *)
   let slow_vids, event_vid =
     match List.rev exec.vids with

@@ -46,7 +46,7 @@ type handle = {
   env : Dpc_engine.Env.t;
   keys : Dpc_analysis.Equi_keys.t;
   private_key : private_state Node.key;
-  signatures : (string, Ast.rule) Hashtbl.t;  (* signature -> this program's rule *)
+  signatures : (string, Dpc_engine.Eval.plan) Hashtbl.t;  (* signature -> this program's rule *)
 }
 
 let create ~nodes =
@@ -119,7 +119,7 @@ let add_program t ~id ~delp ~env =
   t.program_ids <- id :: t.program_ids;
   let signatures = Hashtbl.create 8 in
   List.iter
-    (fun (r : Ast.rule) -> Hashtbl.replace signatures (rule_signature r) r)
+    (fun (r : Ast.rule) -> Hashtbl.replace signatures (rule_signature r) (Dpc_engine.Eval.plan r))
     delp.Delp.program.rules;
   let handle =
     {
@@ -255,7 +255,7 @@ let total_storage t =
    program queries have no liveness predicate yet: the store is a
    storage-sharing experiment, not wired into the crash-fault runtime. *)
 
-let find_rule h sig_id =
+let find_plan h sig_id =
   match Hashtbl.find_opt h.store.sig_of_id sig_id with
   | None -> raise (Store.Broken "unknown rule signature id")
   | Some signature -> begin
@@ -267,7 +267,7 @@ let find_rule h sig_id =
 let chains =
   {
     Store.env = (fun h -> h.env);
-    find_rule;
+    find_plan;
     chain_rows =
       (fun h node -> Store.Linked ((shared h.store node).exec_nodes, (priv h node).exec_links));
     slow = (fun h node -> (shared h.store node).slow_tuples);

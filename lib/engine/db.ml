@@ -2,12 +2,31 @@ open Dpc_ndlog
 
 (* Per-relation state: the primary table keyed by canonical string, an
    incrementally-maintained serialized-byte counter, and any secondary
-   indexes built so far. An index maps a key — the concatenated canonical
-   encodings of the tuple's values at [positions] — to the bucket of
-   tuples sharing those values. Value canonicals parse deterministically
-   (every constructor is tagged and strings are length-prefixed), so the
-   concatenation is collision-free for a fixed positions list. *)
-type index = (string, Tuple.t list ref) Hashtbl.t
+   indexes built so far. An index maps a key — the tuple's values at
+   [positions], compared structurally with [Value.equal] — to the bucket
+   of tuples sharing those values; an insert goes to the front. *)
+module Key = struct
+  type t = Value.t list
+
+  let equal = List.equal Value.equal
+
+  (* Equality, not the hash, keeps [Int 5], [Addr 5], [Str "5"] and the
+     [Bool]s apart as keys. [Addr] is offset only so that an int and an
+     address of the same number do not share a hash chain. *)
+  let hash_value = function
+    | Value.Int i -> i
+    | Value.Addr a -> (a * 7) + 1
+    | Value.Bool b -> if b then 2 else 3
+    | Value.Str s -> Hashtbl.hash s
+
+  let hash key =
+    let h = List.fold_left (fun h v -> (h * 65599) + hash_value v) 17 key in
+    (h lxor (h lsr 29)) land max_int
+end
+
+module Index = Hashtbl.Make (Key)
+
+type index = Tuple.t list ref Index.t
 
 type rel_state = {
   tuples : (string, Tuple.t) Hashtbl.t;
@@ -40,27 +59,30 @@ let rel_state t rel =
       Hashtbl.add t.tables rel rs;
       rs
 
-let key_of_values values =
-  match values with
-  | [ v ] -> Value.canonical v
-  | _ ->
-      let buf = Buffer.create 32 in
-      List.iter (fun v -> Buffer.add_string buf (Value.canonical v)) values;
-      Buffer.contents buf
+(* [None] when the tuple is too short to have every position: it can
+   match no atom that keys on them, so it sits in no bucket. *)
+let key_of_tuple tuple positions =
+  let args = Tuple.args tuple in
+  if List.exists (fun i -> i >= Array.length args) positions then None
+  else Some (List.map (fun i -> args.(i)) positions)
 
-let key_of_tuple tuple positions = key_of_values (List.map (Tuple.arg tuple) positions)
-
-let bucket_add (idx : index) key tuple =
-  match Hashtbl.find_opt idx key with
-  | Some bucket -> bucket := tuple :: !bucket
-  | None -> Hashtbl.add idx key (ref [ tuple ])
-
-let bucket_remove (idx : index) key tuple =
-  match Hashtbl.find_opt idx key with
+let bucket_add (idx : index) tuple positions =
+  match key_of_tuple tuple positions with
   | None -> ()
-  | Some bucket -> (
-      bucket := List.filter (fun u -> not (Tuple.equal u tuple)) !bucket;
-      match !bucket with [] -> Hashtbl.remove idx key | _ :: _ -> ())
+  | Some key -> (
+      match Index.find_opt idx key with
+      | Some bucket -> bucket := tuple :: !bucket
+      | None -> Index.add idx key (ref [ tuple ]))
+
+let bucket_remove (idx : index) tuple positions =
+  match key_of_tuple tuple positions with
+  | None -> ()
+  | Some key -> (
+      match Index.find_opt idx key with
+      | None -> ()
+      | Some bucket -> (
+          bucket := List.filter (fun u -> not (Tuple.equal u tuple)) !bucket;
+          match !bucket with [] -> Index.remove idx key | _ :: _ -> ()))
 
 let insert t tuple =
   let rs = rel_state t (Tuple.rel tuple) in
@@ -69,7 +91,7 @@ let insert t tuple =
   else begin
     Hashtbl.add rs.tuples ck tuple;
     rs.bytes <- rs.bytes + Tuple.serialized_size tuple;
-    List.iter (fun (ps, idx) -> bucket_add idx (key_of_tuple tuple ps) tuple) rs.indexes;
+    List.iter (fun (ps, idx) -> bucket_add idx tuple ps) rs.indexes;
     if t.track_dirty then t.dirty <- (true, tuple) :: t.dirty;
     true
   end
@@ -82,7 +104,7 @@ let remove t tuple =
       if Hashtbl.mem rs.tuples ck then begin
         Hashtbl.remove rs.tuples ck;
         rs.bytes <- rs.bytes - Tuple.serialized_size tuple;
-        List.iter (fun (ps, idx) -> bucket_remove idx (key_of_tuple tuple ps) tuple) rs.indexes;
+        List.iter (fun (ps, idx) -> bucket_remove idx tuple ps) rs.indexes;
         if t.track_dirty then t.dirty <- (false, tuple) :: t.dirty;
         true
       end
@@ -105,26 +127,27 @@ let all t rel =
 
 let scan t rel = List.sort Tuple.compare (all t rel)
 
+let rec find_index positions = function
+  | [] -> None
+  | (ps, idx) :: rest ->
+      if List.equal Int.equal ps positions then Some idx else find_index positions rest
+
 let lookup t ~rel ~positions ~key =
   match Hashtbl.find_opt t.tables rel with
   | None -> []
   | Some rs -> (
       let idx =
-        match List.assoc_opt positions rs.indexes with
+        match find_index positions rs.indexes with
         | Some idx -> idx
         | None ->
             (* Built lazily on the first keyed lookup, then kept current by
                insert/remove. *)
-            let idx = Hashtbl.create (max 16 (Hashtbl.length rs.tuples)) in
-            Hashtbl.iter
-              (fun _ tuple -> bucket_add idx (key_of_tuple tuple positions) tuple)
-              rs.tuples;
+            let idx = Index.create (max 16 (Hashtbl.length rs.tuples)) in
+            Hashtbl.iter (fun _ tuple -> bucket_add idx tuple positions) rs.tuples;
             rs.indexes <- (positions, idx) :: rs.indexes;
             idx
       in
-      match Hashtbl.find_opt idx (key_of_values key) with
-      | Some bucket -> !bucket
-      | None -> [])
+      match Index.find_opt idx key with Some bucket -> !bucket | None -> [])
 
 let relations t =
   Hashtbl.fold

@@ -32,10 +32,12 @@ val scan : t -> string -> Dpc_ndlog.Tuple.t list
 val lookup :
   t -> rel:string -> positions:int list -> key:Dpc_ndlog.Value.t list -> Dpc_ndlog.Tuple.t list
 (** The tuples of [rel] whose attributes at [positions] equal [key]
-    (element-wise, same order). Served from a secondary hash index: built
-    on first use for that positions list, updated on insert/remove
-    thereafter. [positions] must be non-empty and in range for every tuple
-    of the relation. *)
+    (element-wise with {!Dpc_ndlog.Value.equal}, same order). Served from
+    a secondary hash index keyed by the values themselves: built on first
+    use for that positions list, updated on insert/remove thereafter.
+    Bucket order is deterministic: an insert after the build goes to the
+    front. [positions] must be non-empty; a tuple too short to have every
+    position is in no bucket. *)
 
 val clear : t -> unit
 (** Drop every relation, index, and byte counter — the store of a node

@@ -13,9 +13,8 @@ type t = {
   env : Env.t;
   hook : Prov_hook.t;
   msg_overhead : int;
-  interest : string list;
   nodes : Node.t array;
-  plans : (string, Eval.plan list) Hashtbl.t;  (* event relation -> rule plans, program order *)
+  dispatch : (string, dispatch) Hashtbl.t;  (* event relation -> what its arrival does *)
   record_outputs : bool;
   (* Cluster-global accumulators: every shard of a sharded transport
      appends/increments concurrently, so the list is mutex-guarded and
@@ -45,6 +44,11 @@ type t = {
      [Reliable], a socket host's transport, or nobody. *)
   mutable channels : Dpc_net.Chan.handle;
 }
+
+(* Resolved once per relation that triggers rules: its rule plans in
+   program order, and whether a derived arrival of it is an extra
+   relation of interest. *)
+and dispatch = { plans : Eval.plan list; interest : bool }
 
 and remote = {
   is_local : int -> bool;
@@ -94,13 +98,17 @@ let create ~transport ?reliable ?domains ~delp ~env ~hook ?(msg_overhead = 28) ?
         in
         (Some r, Dpc_net.Reliable.transport r)
   in
-  (* Compile every rule once; [process] fetches the plans for an event
-     relation with one hash lookup instead of filtering the program. *)
-  let plans = Hashtbl.create 8 in
+  (* Compile every rule once; [process] resolves an event relation with
+     one hash lookup instead of filtering the program. *)
+  let dispatch = Hashtbl.create 8 in
   List.iter
     (fun (rule : Ast.rule) ->
-      let existing = Option.value ~default:[] (Hashtbl.find_opt plans rule.event.rel) in
-      Hashtbl.replace plans rule.event.rel (existing @ [ Eval.plan rule ]))
+      let rel = rule.event.rel in
+      let plans =
+        match Hashtbl.find_opt dispatch rel with Some d -> d.plans | None -> []
+      in
+      Hashtbl.replace dispatch rel
+        { plans = plans @ [ Eval.plan rule ]; interest = List.mem rel interest })
     delp.program.rules;
   {
     transport;
@@ -109,9 +117,8 @@ let create ~transport ?reliable ?domains ~delp ~env ~hook ?(msg_overhead = 28) ?
     env;
     hook;
     msg_overhead;
-    interest;
     nodes;
-    plans;
+    dispatch;
     record_outputs;
     outputs_lock = Mutex.create ();
     outputs_rev = [];
@@ -165,7 +172,7 @@ let load_slow t tuples =
    event relation triggers; ship each head to its location. A head whose
    relation triggers no rule is an output. *)
 let rec process t ~input node event meta =
-  match Hashtbl.find_opt t.plans (Tuple.rel event) with
+  match Hashtbl.find_opt t.dispatch (Tuple.rel event) with
   | None ->
       Log.debug (fun m -> m "output %s at n%d" (Tuple.to_string event) node);
       if not t.replaying.(node) then begin
@@ -177,12 +184,12 @@ let rec process t ~input node event meta =
       tick t node "runtime.outputs";
       ignore (Db.insert (db t node) event);
       t.hook.on_output ~node event meta
-  | Some plans ->
+  | Some { plans; interest } ->
       (* Extra relations of interest get a concrete provenance record on
          arrival, then execution continues through them. The injected input
          event itself is a base tuple (nothing derived it), so only derived
          arrivals are recorded. *)
-      if (not input) && List.mem (Tuple.rel event) t.interest then begin
+      if interest && not input then begin
         ignore (Db.insert (db t node) event);
         t.hook.on_output ~node event meta
       end;

@@ -12,12 +12,14 @@ type t = {
 
 let build rel args = { rel; args; canonical_memo = ""; digest_memo = None }
 
-let make rel args =
-  match args with
-  | [] -> invalid_arg "Tuple.make: empty argument list"
-  | Value.Addr _ :: _ -> build rel (Array.of_list args)
-  | (Value.Int _ | Value.Str _ | Value.Bool _) :: _ ->
+let of_array rel args =
+  if Array.length args = 0 then invalid_arg "Tuple.make: empty argument list";
+  match args.(0) with
+  | Value.Addr _ -> build rel args
+  | Value.Int _ | Value.Str _ | Value.Bool _ ->
       invalid_arg "Tuple.make: first attribute must be a node address"
+
+let make rel args = of_array rel (Array.of_list args)
 
 let rel t = t.rel
 let args t = t.args

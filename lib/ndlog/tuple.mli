@@ -7,6 +7,10 @@ val make : string -> Value.t list -> t
 (** @raise Invalid_argument if the argument list is empty or the first
     argument is not an [Addr] (every NDlog relation is located). *)
 
+val of_array : string -> Value.t array -> t
+(** [make] on an array the tuple takes ownership of: the caller must not
+    mutate it afterwards. Same checks and messages as [make]. *)
+
 val rel : t -> string
 val args : t -> Value.t array
 val arity : t -> int

@@ -58,6 +58,7 @@ type stats = {
   ack_bytes_total : int;
   dup_dropped : int;
   held : int;
+  overflow_dropped : int;
   abandoned : int;
   suspensions : int;
   resurrections : int;
@@ -84,6 +85,7 @@ type t = {
   ack_bytes_total : int Atomic.t;
   dup_dropped : int Atomic.t;
   held : int Atomic.t;
+  overflow_dropped : int Atomic.t;
   abandoned : int Atomic.t;
   suspensions : int Atomic.t;
   resurrections : int Atomic.t;
@@ -116,6 +118,7 @@ let wrap ?(config = default_config) ?metrics inner =
     ack_bytes_total = Atomic.make 0;
     dup_dropped = Atomic.make 0;
     held = Atomic.make 0;
+    overflow_dropped = Atomic.make 0;
     abandoned = Atomic.make 0;
     suspensions = Atomic.make 0;
     resurrections = Atomic.make 0;
@@ -196,13 +199,16 @@ let send t ~src ~dst ~bytes k =
   let advance expected = persist t (Chan.Expected { src; dst; seq = expected }) in
   let deliver () =
     (match Chan.accept rx ~seq k ~advance ~deliver:(fun k -> k ()) with
-    | Delivered | Overflow -> ()
+    | Delivered -> ()
     | Duplicate ->
         Atomic.incr t.dup_dropped;
         tick t dst "net.dup_dropped"
     | Held ->
         Atomic.incr t.held;
-        tick t dst "net.held");
+        tick t dst "net.held"
+    | Overflow ->
+        Atomic.incr t.overflow_dropped;
+        tick t dst "net.overflow_dropped");
     if Chan.covers rx seq then begin
       Atomic.incr t.acks;
       ignore (Atomic.fetch_and_add t.ack_bytes_total ack_bytes);
@@ -337,6 +343,7 @@ let stats t : stats =
     ack_bytes_total = Atomic.get t.ack_bytes_total;
     dup_dropped = Atomic.get t.dup_dropped;
     held = Atomic.get t.held;
+    overflow_dropped = Atomic.get t.overflow_dropped;
     abandoned = Atomic.get t.abandoned;
     suspensions = Atomic.get t.suspensions;
     resurrections = Atomic.get t.resurrections;

@@ -91,6 +91,9 @@ type stats = {
   ack_bytes_total : int;
   dup_dropped : int;  (** arrivals suppressed by the dedup window *)
   held : int;  (** arrivals parked behind a sequence gap, then replayed *)
+  overflow_dropped : int;
+      (** arrivals refused because the receive window already held
+          {!Chan.hold_cap} above a gap; unacked, so retransmitted *)
   abandoned : int;
       (** messages currently parked on a suspended channel. Rises while a
           partition outlives the retry budget, drains to zero on
@@ -110,7 +113,8 @@ val wrap : ?config:config -> ?metrics:(int -> Dpc_util.Metrics.t) -> Transport.t
     [net.data_msgs], [net.retransmits], [net.retransmit_bytes],
     [net.parked], [net.suspensions], [net.resurrections] and
     [net.probes] at the sender; [net.acks_sent], [net.ack_bytes],
-    [net.dup_dropped] and [net.held] at the receiver.
+    [net.dup_dropped], [net.held] and [net.overflow_dropped] at the
+    receiver.
     @raise Invalid_argument on a non-positive timeout, backoff below 1,
     negative max_retries, or jitter outside [0, 1). *)
 

@@ -16,6 +16,7 @@ type stats = {
   retransmits : int;
   dup_dropped : int;
   held : int;
+  overflow_dropped : int;
   acks_sent : int;
   reconnects : int;
   chaos_dropped : int;
@@ -106,6 +107,7 @@ type t = {
   mutable m_retransmits : int;
   mutable m_dup_dropped : int;
   mutable m_held : int;
+  mutable m_overflow_dropped : int;
   mutable m_acks_sent : int;
   mutable m_reconnects : int;
   (* Injectable link faults: [blocked] peers are a process-level partition
@@ -355,9 +357,10 @@ let handle_frame t c (f : Wire.frame) =
           match t.deliver with Some d -> d ~src:f.src ~payload | None -> ()
         in
         (match Chan.accept ch.rx ~seq:f.seq f.payload ~advance ~deliver with
-        | Delivered | Overflow -> ()
+        | Delivered -> ()
         | Duplicate -> t.m_dup_dropped <- t.m_dup_dropped + 1
-        | Held -> t.m_held <- t.m_held + 1);
+        | Held -> t.m_held <- t.m_held + 1
+        | Overflow -> t.m_overflow_dropped <- t.m_overflow_dropped + 1);
         if Chan.covers ch.rx f.seq then ch.ack_due <- true
       end
   | Ack when Hashtbl.mem t.blocked f.src ->
@@ -568,6 +571,7 @@ let create ~nodes ~local ~addr_of () =
       m_retransmits = 0;
       m_dup_dropped = 0;
       m_held = 0;
+      m_overflow_dropped = 0;
       m_acks_sent = 0;
       m_reconnects = 0;
       blocked = Hashtbl.create 4;
@@ -688,6 +692,7 @@ let stats t =
     retransmits = t.m_retransmits;
     dup_dropped = t.m_dup_dropped;
     held = t.m_held;
+    overflow_dropped = t.m_overflow_dropped;
     acks_sent = t.m_acks_sent;
     reconnects = t.m_reconnects;
     chaos_dropped = t.m_chaos_dropped;

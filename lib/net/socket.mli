@@ -49,6 +49,9 @@ type stats = {
   retransmits : int;
   dup_dropped : int;
   held : int;
+  overflow_dropped : int;
+      (** data frames refused because the receive window already held
+          {!Chan.hold_cap} above a gap; unacked, so retransmitted *)
   acks_sent : int;
   reconnects : int;
   chaos_dropped : int;  (** data frames eaten by injected chaos before the wire *)

@@ -82,6 +82,37 @@ let test_db_lookup_indexed () =
   check Alcotest.int "single-position index" 2
     (List.length (Db.lookup db ~rel:"route" ~positions:[ 0 ] ~key:[ Value.Addr 0 ]))
 
+(* Index keys are structural: values of different constructors with the
+   same payload are different keys. *)
+let test_db_index_keys_by_constructor () =
+  let db = Db.create () in
+  let tagged = [ Value.Int 5; Value.Addr 5; Value.Str "5"; Value.Bool true; Value.Bool false ] in
+  let tuple v = Tuple.make "t" [ Value.Addr 0; v ] in
+  List.iter (fun v -> ignore (Db.insert db (tuple v))) tagged;
+  (* Too short for position 1: in no bucket, and no error. *)
+  ignore (Db.insert db (Tuple.make "t" [ Value.Addr 0 ]));
+  List.iter
+    (fun v ->
+      check (Alcotest.list tuple_t) ("own bucket " ^ Value.to_string v) [ tuple v ]
+        (Db.lookup db ~rel:"t" ~positions:[ 1 ] ~key:[ v ]))
+    tagged;
+  check (Alcotest.list tuple_t) "no Int 6" [] (Db.lookup db ~rel:"t" ~positions:[ 1 ] ~key:[ Value.Int 6 ])
+
+(* A live index keeps each bucket newest first, and a re-inserted tuple
+   counts as new. *)
+let test_db_bucket_newest_first () =
+  let db = Db.create () in
+  let lookup () = Db.lookup db ~rel:"route" ~positions:[ 0; 1 ] ~key:[ Value.Addr 0; Value.Addr 2 ] in
+  let a = route ~at:0 ~dst:2 ~next:1 and b = route ~at:0 ~dst:2 ~next:2
+  and c = route ~at:0 ~dst:2 ~next:3 in
+  ignore (Db.insert db a);
+  check (Alcotest.list tuple_t) "index built" [ a ] (lookup ());
+  List.iter (fun t -> ignore (Db.insert db t)) [ b; c ];
+  check (Alcotest.list tuple_t) "newest first" [ c; b; a ] (lookup ());
+  ignore (Db.remove db b);
+  ignore (Db.insert db b);
+  check (Alcotest.list tuple_t) "re-insert is newest" [ b; c; a ] (lookup ())
+
 (* ------------------------------------------------------------------ *)
 (* Eval *)
 
@@ -197,7 +228,7 @@ let test_eval_string_ordering () =
 let test_fire_with_slow_rederives () =
   let event = pkt ~at:0 ~src:0 ~dst:2 ~payload:"x" in
   let slow = [ route ~at:0 ~dst:2 ~next:1 ] in
-  match Eval.fire_with_slow ~env:Env.empty ~rule:forwarding_r1 ~event ~slow with
+  match Eval.fire_with_slow ~env:Env.empty ~plan:(Eval.plan forwarding_r1) ~event ~slow with
   | Some head -> check tuple_t "re-derived" (pkt ~at:1 ~src:0 ~dst:2 ~payload:"x") head
   | None -> Alcotest.fail "expected a head"
 
@@ -206,7 +237,7 @@ let test_fire_with_slow_rejects_mismatched () =
   (* A route for a different destination no longer unifies. *)
   let slow = [ route ~at:0 ~dst:3 ~next:1 ] in
   check (Alcotest.option tuple_t) "no head" None
-    (Eval.fire_with_slow ~env:Env.empty ~rule:forwarding_r1 ~event ~slow)
+    (Eval.fire_with_slow ~env:Env.empty ~plan:(Eval.plan forwarding_r1) ~event ~slow)
 
 let test_fire_planned_matches_fire () =
   (* The index-driven join must produce the same derivations as the naive
@@ -244,7 +275,104 @@ let test_fire_with_slow_wrong_count () =
   let event = pkt ~at:0 ~src:0 ~dst:2 ~payload:"x" in
   Alcotest.check_raises "arity mismatch"
     (Eval.Eval_error "fire_with_slow: rule r1 expects 1 slow tuples, got 0") (fun () ->
-      ignore (Eval.fire_with_slow ~env:Env.empty ~rule:forwarding_r1 ~event ~slow:[]))
+      ignore (Eval.fire_with_slow ~env:Env.empty ~plan:(Eval.plan forwarding_r1) ~event ~slow:[]))
+
+(* The compiled plan against the oracle on shapes the property generator
+   does not produce: the derivations agree as a multiset, and so do the
+   re-derivations from each recorded slow list. *)
+let planned_matches ?(env = Env.empty) name rule db events =
+  let plan = Eval.plan rule in
+  let norm results =
+    List.sort compare
+      (List.map (fun (head, slow) -> (Tuple.canonical head, List.map Tuple.canonical slow)) results)
+  in
+  List.iter
+    (fun event ->
+      let naive = Eval.fire ~env ~db ~rule ~event in
+      check
+        (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.list Alcotest.string)))
+        (Printf.sprintf "%s: planned = naive on %s" name (Tuple.to_string event))
+        (norm naive)
+        (norm (Eval.fire_planned ~env ~db ~plan ~event));
+      List.iter
+        (fun (head, slow) ->
+          check (Alcotest.option tuple_t) (name ^ ": re-derived") (Some head)
+            (Eval.fire_with_slow ~env ~plan ~event ~slow))
+        naive)
+    events
+
+let ev args = Tuple.make "ev" (Value.Addr 0 :: args)
+
+let test_planned_repeated_variable () =
+  let db = Db.create () in
+  List.iter
+    (fun (x, y) -> ignore (Db.insert db (Tuple.make "link" [ Value.Addr 0; Value.Int x; Value.Int y ])))
+    [ (1, 1); (1, 2); (3, 3); (2, 1) ];
+  List.iter
+    (fun (d, n) -> ignore (Db.insert db (route ~at:0 ~dst:d ~next:n)))
+    [ (2, 2); (2, 1); (3, 3) ];
+  let fired rule event = List.length (Eval.fire_planned ~env:Env.empty ~db ~plan:(Eval.plan rule) ~event) in
+  let unbound = rule_of "r1 out(@L, X) :- ev(@L), link(@L, X, X)." in
+  planned_matches "unbound repeat" unbound db [ ev [] ];
+  check Alcotest.int "X = 1 and X = 3" 2 (fired unbound (ev []));
+  let keyed = rule_of "r1 out(@L, D) :- ev(@L, D), route(@L, D, D)." in
+  planned_matches "keyed repeat" keyed db (List.map (fun d -> ev [ Value.Addr d ]) [ 1; 2; 3; 4 ]);
+  check Alcotest.int "route(@0, 2, 2) only" 1 (fired keyed (ev [ Value.Addr 2 ]))
+
+let test_planned_constants () =
+  let db = Db.create () in
+  List.iter
+    (fun (d, n) -> ignore (Db.insert db (Tuple.make "hop" [ Value.Addr 0; Value.Int d; Value.Int n ])))
+    [ (2, 1); (2, 3); (4, 1) ];
+  ignore (Db.insert db (Tuple.make "hop" [ Value.Addr 0; Value.Str "2"; Value.Int 5 ]));
+  let rule = rule_of "r1 out(@L, N, X) :- ev(@L, 7, X), hop(@L, 2, N)." in
+  planned_matches "constants" rule db
+    [ ev [ Value.Int 7; Value.Int 1 ]; ev [ Value.Int 8; Value.Int 1 ]; ev [ Value.Str "7"; Value.Int 1 ] ];
+  check Alcotest.int "both Int 2 hops" 2
+    (List.length
+       (Eval.fire_planned ~env:Env.empty ~db ~plan:(Eval.plan rule)
+          ~event:(ev [ Value.Int 7; Value.Int 1 ])))
+
+let test_planned_assign_to_bound () =
+  let rule = rule_of "r1 out(@L, Y) :- ev(@L, A, Y), Y := A + 1." in
+  let db = Db.create () in
+  planned_matches "recheck" rule db
+    [ ev [ Value.Int 1; Value.Int 2 ]; ev [ Value.Int 1; Value.Int 3 ] ];
+  let fired event = List.length (Eval.fire_planned ~env:Env.empty ~db ~plan:(Eval.plan rule) ~event) in
+  check Alcotest.int "Y = A + 1 holds" 1 (fired (ev [ Value.Int 1; Value.Int 2 ]));
+  check Alcotest.int "Y = A + 1 fails" 0 (fired (ev [ Value.Int 1; Value.Int 3 ]))
+
+let test_planned_udf () =
+  let env =
+    Env.register Env.empty "f_double" (function
+      | [ Value.Int x ] -> Value.Int (2 * x)
+      | _ -> raise (Eval.Eval_error "f_double"))
+  in
+  let rule = rule_of "r1 out(@L, Y) :- ev(@L, A), Y := f_double(A), Y > 2." in
+  planned_matches ~env "udf" rule (Db.create ()) [ ev [ Value.Int 1 ]; ev [ Value.Int 21 ] ];
+  match Eval.fire_planned ~env ~db:(Db.create ()) ~plan:(Eval.plan rule) ~event:(ev [ Value.Int 21 ]) with
+  | [ (head, []) ] -> check tuple_t "udf head" (Tuple.make "out" [ Value.Addr 0; Value.Int 42 ]) head
+  | _ -> Alcotest.fail "expected one derivation"
+
+let test_planned_errors () =
+  let raises name msg rule event =
+    let plan = Eval.plan rule in
+    Alcotest.check_raises (name ^ " (oracle)") (Eval.Eval_error msg) (fun () ->
+      ignore (Eval.fire ~env:Env.empty ~db:(Db.create ()) ~rule ~event));
+    Alcotest.check_raises name (Eval.Eval_error msg) (fun () ->
+      ignore (Eval.fire_planned ~env:Env.empty ~db:(Db.create ()) ~plan ~event));
+    Alcotest.check_raises (name ^ " (re-derivation)") (Eval.Eval_error msg) (fun () ->
+      ignore (Eval.fire_with_slow ~env:Env.empty ~plan ~event ~slow:[]))
+  in
+  raises "division by zero" "division by zero"
+    (rule_of "r1 out(@L, Y) :- ev(@L, A), Y := A / 0.")
+    (ev [ Value.Int 3 ]);
+  raises "unknown function" "unknown function f_missing"
+    (rule_of "r1 out(@L, Y) :- ev(@L, A), Y := f_missing(A).")
+    (ev [ Value.Int 1 ]);
+  raises "ordering across types" "ordering comparison on 1 and \"a\""
+    (rule_of "r1 out(@L, A) :- ev(@L, A, B), A < B.")
+    (ev [ Value.Int 1; Value.Str "a" ])
 
 (* ------------------------------------------------------------------ *)
 (* Env *)
@@ -471,6 +599,8 @@ let () =
           Alcotest.test_case "size bytes" `Quick test_db_size_bytes_grows;
           Alcotest.test_case "incremental size bytes" `Quick test_db_size_bytes_incremental;
           Alcotest.test_case "keyed lookup" `Quick test_db_lookup_indexed;
+          Alcotest.test_case "keys by constructor" `Quick test_db_index_keys_by_constructor;
+          Alcotest.test_case "bucket newest first" `Quick test_db_bucket_newest_first;
         ] );
       ( "eval",
         [
@@ -490,6 +620,11 @@ let () =
             test_fire_with_slow_rejects_mismatched;
           Alcotest.test_case "fire_with_slow wrong count" `Quick test_fire_with_slow_wrong_count;
           Alcotest.test_case "planned fire matches naive" `Quick test_fire_planned_matches_fire;
+          Alcotest.test_case "planned: repeated variable" `Quick test_planned_repeated_variable;
+          Alcotest.test_case "planned: constants" `Quick test_planned_constants;
+          Alcotest.test_case "planned: assign to bound" `Quick test_planned_assign_to_bound;
+          Alcotest.test_case "planned: udf" `Quick test_planned_udf;
+          Alcotest.test_case "planned: errors" `Quick test_planned_errors;
         ] );
       ("env", [ Alcotest.test_case "shadowing" `Quick test_env_shadowing ]);
       ( "runtime",

@@ -746,6 +746,40 @@ let test_channel_window_edges () =
   check Alcotest.int "everything from 10 up to the cap + 1" (Chan.hold_cap - 8) !count;
   check Alcotest.int "watermark past the window" (Chan.hold_cap + 2) (Chan.expected rx)
 
+(* An arrival that finds the receive window full is refused and counted
+   (stats and the receiver's [net.overflow_dropped]); it was never
+   acked, so its retransmission delivers it once the gap fills. The
+   first transmission on 0 -> 1 is lost, so the next [hold_cap] park
+   behind the gap and the one after them overflows. *)
+let test_reliable_counts_overflow () =
+  let first = ref true in
+  let inner, _ =
+    Transport.faulty_with
+      ~decide:(fun ~src ~dst ~bytes:_ ->
+        if src = 0 && dst = 1 && !first then begin
+          first := false;
+          Transport.F_drop
+        end
+        else Transport.F_deliver)
+      (Transport.direct ~nodes:2 ())
+  in
+  let registries = Array.init 2 (fun _ -> Dpc_util.Metrics.create ()) in
+  let rel = Reliable.wrap ~metrics:(Array.get registries) inner in
+  let tr = Reliable.transport rel in
+  let got = ref [] in
+  let total = Chan.hold_cap + 2 in
+  for i = 0 to total - 1 do
+    Transport.send tr ~src:0 ~dst:1 ~bytes:10 (fun () -> got := i :: !got)
+  done;
+  Transport.run tr;
+  let s = Reliable.stats rel in
+  check Alcotest.int "one arrival refused" 1 s.overflow_dropped;
+  check Alcotest.int "held up to the cap" Chan.hold_cap s.held;
+  check Alcotest.int "counted at the receiver" 1
+    (Dpc_util.Metrics.counter_value registries.(1) "net.overflow_dropped");
+  check (Alcotest.list Alcotest.int) "exactly once, in order" (List.init total Fun.id)
+    (List.rev !got)
+
 (* ------------------------------------------------------------------ *)
 (* Partition faults: the partitionable wrapper, outage plans, backoff
    arithmetic, and the suspension/resurrection path. *)
@@ -1022,6 +1056,8 @@ let () =
           Alcotest.test_case "exhaustive interleavings, <= 3 messages" `Quick
             test_channel_model_exhaustive;
           Alcotest.test_case "window edges" `Quick test_channel_window_edges;
+          Alcotest.test_case "reliable counts window overflow" `Quick
+            test_reliable_counts_overflow;
         ]
         @ qsuite [ prop_channel_model ] );
       ( "partition faults",

@@ -377,6 +377,43 @@ let test_socket_held_duplicate_counted () =
           check (Alcotest.list Alcotest.string) "in order, once each" [ "m1"; "m2"; "m3" ]
             (List.rev !got)))
 
+(* A data frame that finds the receive window full is refused, counted,
+   and left unacked; the peer's resend delivers it once the gap fills. *)
+let test_socket_counts_overflow () =
+  with_temp_dir "dpc-sock" (fun dir ->
+      let addr_of node = Printf.sprintf "unix:%s/n%d.sock" dir node in
+      let b = Socket.create ~nodes:2 ~local:1 ~addr_of () in
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () ->
+          (try Unix.close fd with _ -> ());
+          Socket.close b)
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_UNIX (Filename.concat dir "n1.sock"));
+          let send frames =
+            let bytes = String.concat "" (List.map Wire.encode frames) in
+            ignore (Unix.write_substring fd bytes 0 (String.length bytes))
+          in
+          let data seq = frame Data ~src:0 ~dst:1 ~seq (Printf.sprintf "m%d" seq) in
+          let cap = Dpc_net.Chan.hold_cap in
+          let tb = Socket.transport b in
+          (* Sequence 1 is missing: 2 .. cap + 1 fill the window. *)
+          send (frame Hello ~src:0 ~dst:1 ~seq:0 "" :: List.init cap (fun i -> data (i + 2)));
+          pump [ tb ] ~tag:"window fills" ~until_cond:(fun () -> (Socket.stats b).held = cap);
+          send [ data (cap + 2) ];
+          pump [ tb ] ~tag:"overflow" ~until_cond:(fun () ->
+              (Socket.stats b).overflow_dropped = 1);
+          check Alcotest.int "still held" cap (Socket.stats b).held;
+          send [ data 1 ];
+          pump [ tb ] ~tag:"gap fills" ~until_cond:(fun () ->
+              (Socket.stats b).data_received = cap + 1);
+          send [ data (cap + 2) ];
+          pump [ tb ] ~tag:"resend delivers" ~until_cond:(fun () ->
+              (Socket.stats b).data_received = cap + 2);
+          let s = Socket.stats b in
+          check Alcotest.int "one refusal" 1 s.overflow_dropped;
+          check Alcotest.int "no duplicates" 0 s.dup_dropped))
+
 (* ------------------------------------------------------------------ *)
 (* Durable disk recovery, in-process: the same forwarding scenario the
    dpcd oracle runs, on a direct transport with the log mirrored to
@@ -478,6 +515,7 @@ let () =
         [
           Alcotest.test_case "duplex pair" `Quick test_socket_pair;
           Alcotest.test_case "held re-arrival counted" `Quick test_socket_held_duplicate_counted;
+          Alcotest.test_case "window overflow counted" `Quick test_socket_counts_overflow;
         ] );
       ( "disk recovery",
         [ Alcotest.test_case "digest equality, all schemes" `Quick test_disk_recovery ] );
