@@ -12,7 +12,6 @@ type t = {
   delp : Delp.t;
   env : Env.t;
   hook : Prov_hook.t;
-  msg_overhead : int;
   nodes : Node.t array;
   dispatch : (string, dispatch) Hashtbl.t;  (* event relation -> what its arrival does *)
   record_outputs : bool;
@@ -56,7 +55,10 @@ and remote = {
   replayed_ship : dst:int -> payload:string -> unit;
 }
 
-let create ~transport ?reliable ?domains ~delp ~env ~hook ?(msg_overhead = 28) ?(interest = [])
+(* The fixed per-message header charged on top of tuple and meta bytes. *)
+let msg_overhead = 28
+
+let create ~transport ?reliable ?domains ~delp ~env ~hook ?(interest = [])
     ?(record_outputs = true) ?nodes () =
   (match domains with
   | None -> ()
@@ -116,7 +118,6 @@ let create ~transport ?reliable ?domains ~delp ~env ~hook ?(msg_overhead = 28) ?
     delp;
     env;
     hook;
-    msg_overhead;
     nodes;
     dispatch;
     record_outputs;
@@ -217,7 +218,7 @@ let rec process t ~input node event meta =
 
 and ship t src head meta =
   let dst = Tuple.loc head in
-  let bytes = Tuple.wire_size head + t.hook.meta_bytes meta + t.msg_overhead in
+  let bytes = Tuple.wire_size head + t.hook.meta_bytes meta + msg_overhead in
   tick t src "runtime.shipped_msgs";
   Node.tick t.nodes.(src) ~by:bytes "runtime.shipped_bytes";
   if not t.replaying.(src) then begin
@@ -255,7 +256,7 @@ and ship t src head meta =
 (* Broadcast the sig control message to every node, including the origin
    (delivered locally through the queue to preserve event ordering). *)
 let broadcast_sig t node op tuple =
-  let bytes = t.msg_overhead + 4 in
+  let bytes = msg_overhead + 4 in
   Node.tick t.nodes.(node) ~by:(Array.length t.nodes) "runtime.shipped_msgs";
   Node.tick t.nodes.(node) ~by:(bytes * Array.length t.nodes) "runtime.shipped_bytes";
   match t.remote with

@@ -26,14 +26,13 @@ val create :
   delp:Dpc_ndlog.Delp.t ->
   env:Env.t ->
   hook:Prov_hook.t ->
-  ?msg_overhead:int ->
   ?interest:string list ->
   ?record_outputs:bool ->
   ?nodes:Node.t array ->
   unit ->
   t
-(** [msg_overhead] (default 28 bytes) is the fixed per-message header
-    charged on top of tuple and meta bytes.
+(** Every message is charged a fixed 28-byte header on top of its tuple
+    and meta bytes.
 
     [reliable] layers {!Dpc_net.Reliable} between the runtime and
     [transport]: every shipped event tuple and every [sig] broadcast then

@@ -311,27 +311,7 @@ let channels t : Chan.handle =
     set_persist = (fun f -> t.persist <- Some f);
   }
 
-let transport t : Transport.t =
-  let (module T : Transport.S) = t.inner in
-  (module struct
-    let name = "reliable+" ^ T.name
-    let nodes = T.nodes
-    let shards = T.shards
-    let shard_of = T.shard_of
-    let now = T.now
-    let schedule = T.schedule
-    let schedule_on = T.schedule_on
-    let send ~src ~dst ~bytes k = send t ~src ~dst ~bytes k
-
-    let broadcast ~src ~bytes k =
-      for dst = 0 to nodes - 1 do
-        send ~src ~dst ~bytes (fun () -> k dst)
-      done
-
-    let run = T.run
-    let total_bytes = T.total_bytes
-    let messages = T.messages
-  end)
+let transport t = Transport.intercept t.inner ~name:"reliable" ~send:(send t)
 
 let stats t : stats =
   {

@@ -167,26 +167,15 @@ let node_event t ~node ~at action =
   t.node_ctr.(node) <- ctr + 1;
   { at; origin = node; ctr; action }
 
-(* SplitMix64 finalizer (same construction as [Transport.hashed_decide]):
-   jitter for the [n]th message on a channel hashes (seed, src, dst, n),
+(* Jitter for the [n]th message on a channel hashes (seed, src, dst, n),
    so latencies are identical whatever the shard count. *)
-let mix64 z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-let golden = 0x9e3779b97f4a7c15L
-let mix_absorb state x = mix64 (Int64.add state (Int64.mul golden (Int64.of_int (x + 1))))
-let unit_float h = Int64.to_float (Int64.shift_right_logical h 11) *. 0x1p-53
-
 let wire_delay t ~src ~dst =
   if t.jitter = 0.0 then t.latency
   else begin
     let idx = (src * t.nodes) + dst in
     let n = t.chan_ctr.(idx) in
     t.chan_ctr.(idx) <- n + 1;
-    let h = mix_absorb (mix_absorb (mix_absorb (Int64.of_int t.seed) src) dst) n in
-    t.latency +. (t.jitter *. unit_float h)
+    t.latency +. (t.jitter *. Transport.channel_unit_hash ~seed:t.seed ~src ~dst ~n)
   end
 
 let send t ~src ~dst ~bytes k =
@@ -345,12 +334,7 @@ let transport t : Transport.t =
     let schedule ~delay k = schedule t ~delay k
     let schedule_on ~node ~delay k = schedule_on t ~node ~delay k
     let send ~src ~dst ~bytes k = send t ~src ~dst ~bytes k
-
-    let broadcast ~src ~bytes k =
-      for dst = 0 to nodes - 1 do
-        send ~src ~dst ~bytes (fun () -> k dst)
-      done
-
+    let broadcast = Transport.fanout ~nodes send
     let run ?until () = run ?until t
     let total_bytes () = total_bytes t
     let messages () = messages t

@@ -25,14 +25,18 @@ type stats = {
   blocked_drops : int;
 }
 
-type addr = A_unix of string | A_tcp of string * int
+let resolve host =
+  try Unix.inet_addr_of_string host
+  with _ -> (
+    try (Unix.gethostbyname host).Unix.h_addr_list.(0)
+    with _ -> invalid_arg (Printf.sprintf "Socket: cannot resolve host %S" host))
 
-let parse_addr s =
+let sockaddr s =
   match String.index_opt s ':' with
   | Some i when String.sub s 0 i = "unix" ->
       let path = String.sub s (i + 1) (String.length s - i - 1) in
       if path = "" then invalid_arg "Socket: empty unix path";
-      A_unix path
+      Unix.ADDR_UNIX path
   | Some i when String.sub s 0 i = "tcp" -> (
       let rest = String.sub s (i + 1) (String.length s - i - 1) in
       match String.rindex_opt rest ':' with
@@ -40,21 +44,10 @@ let parse_addr s =
           let host = String.sub rest 0 j in
           let port = String.sub rest (j + 1) (String.length rest - j - 1) in
           (match int_of_string_opt port with
-          | Some p when p > 0 && p < 65536 -> A_tcp (host, p)
+          | Some p when p > 0 && p < 65536 -> Unix.ADDR_INET (resolve host, p)
           | _ -> invalid_arg (Printf.sprintf "Socket: bad port in %S" s))
       | None -> invalid_arg (Printf.sprintf "Socket: tcp address %S needs host:port" s))
   | _ -> invalid_arg (Printf.sprintf "Socket: address %S is not unix:<path> or tcp:<host>:<port>" s)
-
-let sockaddr_of = function
-  | A_unix path -> Unix.ADDR_UNIX path
-  | A_tcp (host, port) ->
-      let ip =
-        try Unix.inet_addr_of_string host
-        with _ -> (
-          try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-          with _ -> invalid_arg (Printf.sprintf "Socket: cannot resolve host %S" host))
-      in
-      Unix.ADDR_INET (ip, port)
 
 type conn = {
   fd : Unix.file_descr;
@@ -81,7 +74,7 @@ type timer = { at : float; tie : int; fn : unit -> unit }
 type t = {
   nodes : int;
   local : int;
-  addrs : addr array;
+  addrs : Unix.sockaddr array;
   epoch : float;
   listen_fd : Unix.file_descr;
   listen_path : string option;
@@ -217,7 +210,7 @@ and ensure_dial t dst =
     && (not (Hashtbl.mem t.out_conns dst))
     && not (Hashtbl.mem t.blocked dst)
   then begin
-    let sa = sockaddr_of t.addrs.(dst) in
+    let sa = t.addrs.(dst) in
     let domain = Unix.domain_of_sockaddr sa in
     let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
     Unix.set_nonblock fd;
@@ -524,16 +517,16 @@ let run_loop t ?until () =
 let create ~nodes ~local ~addr_of () =
   if nodes <= 0 then invalid_arg "Socket.create: nodes must be positive";
   if local < 0 || local >= nodes then invalid_arg "Socket.create: local node out of range";
-  let addrs = Array.init nodes (fun i -> parse_addr (addr_of i)) in
-  let listen_path = match addrs.(local) with A_unix p -> Some p | A_tcp _ -> None in
+  let addrs = Array.init nodes (fun i -> sockaddr (addr_of i)) in
+  let sa = addrs.(local) in
+  let listen_path = match sa with Unix.ADDR_UNIX p -> Some p | Unix.ADDR_INET _ -> None in
   (match listen_path with
   | Some p when Sys.file_exists p -> ( try Unix.unlink p with _ -> ())
   | _ -> ());
-  let sa = sockaddr_of addrs.(local) in
   let listen_fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
-  (match addrs.(local) with
-  | A_tcp _ -> Unix.setsockopt listen_fd Unix.SO_REUSEADDR true
-  | A_unix _ -> ());
+  (match sa with
+  | Unix.ADDR_INET _ -> Unix.setsockopt listen_fd Unix.SO_REUSEADDR true
+  | Unix.ADDR_UNIX _ -> ());
   (try
      Unix.bind listen_fd sa;
      Unix.listen listen_fd 64;

@@ -33,7 +33,8 @@
     ([Dpc_engine.Runtime.set_remote]) serializes events as journal
     entries on one side and replays them on the other.
 
-    Addresses are ["unix:/path/to.sock"] or ["tcp:host:port"]. *)
+    Addresses are ["unix:/path/to.sock"] or ["tcp:host:port"] ({!sockaddr}),
+    resolved once, at {!create}. *)
 
 (** What the host must make durable for its outbox, reported
     synchronously and in order. [Sent] fires BEFORE the frame's first
@@ -67,8 +68,12 @@ val create : nodes:int -> local:int -> addr_of:(int -> string) -> unit -> t
     [nodes]-wide cluster with only [local] hosted here. Peers are dialed
     on demand (a failed dial retries after 200 ms) and unacked frames
     are rescanned every 250 ms. @raise Invalid_argument on a bad node
-    count, an out-of-range [local], or a malformed address;
+    count, an out-of-range [local], or an address {!sockaddr} rejects;
     @raise Unix.Unix_error if the listen address cannot be bound. *)
+
+val sockaddr : string -> Unix.sockaddr
+(** Parse and resolve an address; the port must be in [1, 65535].
+    @raise Invalid_argument on a malformed address or an unknown host. *)
 
 val transport : t -> Transport.t
 (** The {!Transport.S} view: [shards = 1], [shard_of _ = 0], [now] is

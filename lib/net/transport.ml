@@ -14,6 +14,7 @@ module type S = sig
 end
 
 type t = (module S)
+type send_fn = src:int -> dst:int -> bytes:int -> (unit -> unit) -> unit
 
 let name (module T : S) = T.name
 let nodes (module T : S) = T.nodes
@@ -28,6 +29,13 @@ let run ?until (module T : S) = T.run ?until ()
 let total_bytes (module T : S) = T.total_bytes ()
 let messages (module T : S) = T.messages ()
 
+(* The sig broadcast of §5.5: one message per node, the origin included
+   (delivered through the queue like any send, to preserve ordering). *)
+let fanout ~nodes send ~src ~bytes k =
+  for dst = 0 to nodes - 1 do
+    send ~src ~dst ~bytes (fun () -> k dst)
+  done
+
 let of_sim sim : t =
   (module struct
     let name = "sim"
@@ -38,13 +46,7 @@ let of_sim sim : t =
     let schedule ~delay k = Sim.schedule sim ~delay k
     let schedule_on ~node:_ ~delay k = Sim.schedule sim ~delay k
     let send ~src ~dst ~bytes k = Sim.send sim ~src ~dst ~bytes k
-
-    (* The sig broadcast of §5.5: one message per node, the origin
-       included (delivered through the queue to preserve ordering). *)
-    let broadcast ~src ~bytes k =
-      for dst = 0 to nodes - 1 do
-        Sim.send sim ~src ~dst ~bytes (fun () -> k dst)
-      done
+    let broadcast = fanout ~nodes send
 
     let run ?until () = Sim.run ?until sim
     let total_bytes () = Sim.total_bytes sim
@@ -91,10 +93,7 @@ let direct ~nodes:n () : t =
       bytes_total := !bytes_total + bytes;
       schedule_at !clock k
 
-    let broadcast ~src ~bytes k =
-      for dst = 0 to n - 1 do
-        send ~src ~dst ~bytes (fun () -> k dst)
-      done
+    let broadcast = fanout ~nodes send
 
     let run ?until () =
       let limit = match until with None -> infinity | Some u -> u in
@@ -111,6 +110,26 @@ let direct ~nodes:n () : t =
 
     let total_bytes () = !bytes_total
     let messages () = !msgs
+  end)
+
+(* The one decorator: [inner] with [send] replaced. [broadcast] fans out
+   over the new [send] — per destination, so a wrapper that faults or
+   gates one delivery sees every destination of a broadcast on its own —
+   and everything else is [inner]'s. *)
+let intercept (module T : S) ~name:n ~send:send' : t =
+  (module struct
+    let name = n ^ "+" ^ T.name
+    let nodes = T.nodes
+    let shards = T.shards
+    let shard_of = T.shard_of
+    let now = T.now
+    let schedule = T.schedule
+    let schedule_on = T.schedule_on
+    let send = send'
+    let broadcast = fanout ~nodes send
+    let run = T.run
+    let total_bytes = T.total_bytes
+    let messages = T.messages
   end)
 
 (* ------------------------------------------------------------------ *)
@@ -140,62 +159,46 @@ type fault_stats = {
   delayed : int Atomic.t;
 }
 
-let faulty_with ~decide (module T : S) : t * fault_stats =
+let faulty_with ~decide inner : t * fault_stats =
   let stats =
     { delivered = Atomic.make 0; dropped = Atomic.make 0; duplicated = Atomic.make 0;
       delayed = Atomic.make 0 }
   in
-  let transport : t =
-    (module struct
-      let name = "faulty+" ^ T.name
-      let nodes = T.nodes
-      let shards = T.shards
-      let shard_of = T.shard_of
-      let now = T.now
-      let schedule = T.schedule
-      let schedule_on = T.schedule_on
-
-      let send ~src ~dst ~bytes k =
-        match decide ~src ~dst ~bytes with
-        | F_deliver ->
-            Atomic.incr stats.delivered;
-            T.send ~src ~dst ~bytes k
-        | F_drop ->
-            (* The transmission happened — the inner backend charges its
-               bytes and advances its counters — but the receiver never
-               sees it. *)
-            Atomic.incr stats.dropped;
-            T.send ~src ~dst ~bytes (fun () -> ())
-        | F_duplicate ->
-            Atomic.incr stats.duplicated;
-            T.send ~src ~dst ~bytes k;
-            T.send ~src ~dst ~bytes k
-        | F_delay extra ->
-            Atomic.incr stats.delayed;
-            T.send ~src ~dst ~bytes (fun () -> T.schedule ~delay:extra k)
-
-      (* Per-destination faults: one broadcast may reach some nodes and
-         not others, which is exactly the nasty case for sig. *)
-      let broadcast ~src ~bytes k =
-        for dst = 0 to nodes - 1 do
-          send ~src ~dst ~bytes (fun () -> k dst)
-        done
-
-      let run = T.run
-      let total_bytes = T.total_bytes
-      let messages = T.messages
-    end)
+  let (module T : S) = inner in
+  let send ~src ~dst ~bytes k =
+    match decide ~src ~dst ~bytes with
+    | F_deliver ->
+        Atomic.incr stats.delivered;
+        T.send ~src ~dst ~bytes k
+    | F_drop ->
+        (* The transmission happened — the inner backend charges its
+           bytes and advances its counters — but the receiver never
+           sees it. *)
+        Atomic.incr stats.dropped;
+        T.send ~src ~dst ~bytes (fun () -> ())
+    | F_duplicate ->
+        Atomic.incr stats.duplicated;
+        T.send ~src ~dst ~bytes k;
+        T.send ~src ~dst ~bytes k
+    | F_delay extra ->
+        Atomic.incr stats.delayed;
+        T.send ~src ~dst ~bytes (fun () -> T.schedule ~delay:extra k)
   in
-  (transport, stats)
+  (intercept inner ~name:"faulty" ~send, stats)
+
+(* The fault a uniform draw [u] selects at [config]'s rates. [delay] is
+   forced only in the delay band, so [faulty]'s stream gives one draw per
+   transmission and a second for a delayed one. *)
+let pick config u ~delay =
+  if u < config.drop then F_drop
+  else if u < config.drop +. config.duplicate then F_duplicate
+  else if u < config.drop +. config.duplicate +. config.delay then F_delay (delay ())
+  else F_deliver
 
 let faulty ~config ~rng inner =
   faulty_with inner ~decide:(fun ~src:_ ~dst:_ ~bytes:_ ->
-    let u = Dpc_util.Rng.float rng 1.0 in
-    if u < config.drop then F_drop
-    else if u < config.drop +. config.duplicate then F_duplicate
-    else if u < config.drop +. config.duplicate +. config.delay then
-      F_delay (Dpc_util.Rng.float rng config.delay_max)
-    else F_deliver)
+    pick config (Dpc_util.Rng.float rng 1.0) ~delay:(fun () ->
+      Dpc_util.Rng.float rng config.delay_max))
 
 (* SplitMix64 finalizer: the per-channel hashed fault schedule needs a
    high-quality stateless mix so decisions depend only on
@@ -206,8 +209,10 @@ let mix64 z =
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 let golden = 0x9e3779b97f4a7c15L
-
 let mix_absorb state x = mix64 (Int64.add state (Int64.mul golden (Int64.of_int (x + 1))))
+
+let channel_hash ~seed ~src ~dst ~n =
+  mix_absorb (mix_absorb (mix_absorb (Int64.of_int seed) src) dst) n
 
 (* Top 53 bits as a uniform float in [0, 1). *)
 let unit_float h = Int64.to_float (Int64.shift_right_logical h 11) *. 0x1p-53
@@ -221,16 +226,25 @@ let hashed_decide ~config ~seed ~nodes =
     let idx = (src * nodes) + dst in
     let n = counts.(idx) in
     counts.(idx) <- n + 1;
-    let h = mix_absorb (mix_absorb (mix_absorb (Int64.of_int seed) src) dst) n in
-    let u = unit_float h in
-    if u < config.drop then F_drop
-    else if u < config.drop +. config.duplicate then F_duplicate
-    else if u < config.drop +. config.duplicate +. config.delay then
-      F_delay (unit_float (mix64 h) *. config.delay_max)
-    else F_deliver
+    let h = channel_hash ~seed ~src ~dst ~n in
+    pick config (unit_float h) ~delay:(fun () -> unit_float (mix64 h) *. config.delay_max)
 
-let channel_unit_hash ~seed ~src ~dst ~n =
-  unit_float (mix_absorb (mix_absorb (mix_absorb (Int64.of_int seed) src) dst) n)
+let channel_unit_hash ~seed ~src ~dst ~n = unit_float (channel_hash ~seed ~src ~dst ~n)
+
+(* ------------------------------------------------------------------ *)
+(* Arrival-time gates *)
+
+(* The wire still carries the message (bytes are charged, the clock
+   advances), but the delivery runs only if [pass] holds at ARRIVAL time,
+   on the destination's shard; otherwise [blocked] counts the loss. A
+   message in flight when the gate closes is lost; one sent into a closed
+   gate that reopens before arrival survives. Whatever flips the gate's
+   state must therefore run on [shard_of dst] too, so the check stays
+   single-owner under a sharded backend. *)
+let gate inner ~name ~pass ~blocked =
+  let (module T : S) = inner in
+  intercept inner ~name ~send:(fun ~src ~dst ~bytes k ->
+    T.send ~src ~dst ~bytes (fun () -> if pass ~src ~dst then k () else blocked ~dst))
 
 (* ------------------------------------------------------------------ *)
 (* Crash faults *)
@@ -247,61 +261,31 @@ type crash_control = {
 let crashable (module T : S) : t * crash_control =
   let up = Array.make T.nodes true in
   let stats = { crashes = Atomic.make 0; suppressed = Atomic.make 0 } in
+  let check node =
+    if node < 0 || node >= T.nodes then
+      invalid_arg (Printf.sprintf "Transport.crashable: node %d out of range" node)
+  in
   let control =
     {
       crash =
         (fun node ->
-          if node < 0 || node >= T.nodes then
-            invalid_arg (Printf.sprintf "Transport.crashable: node %d out of range" node);
+          check node;
           if up.(node) then begin
             up.(node) <- false;
             Atomic.incr stats.crashes
           end);
-      restart =
-        (fun node ->
-          if node < 0 || node >= T.nodes then
-            invalid_arg (Printf.sprintf "Transport.crashable: node %d out of range" node);
-          up.(node) <- true);
-      is_up =
-        (fun node ->
-          if node < 0 || node >= T.nodes then
-            invalid_arg (Printf.sprintf "Transport.crashable: node %d out of range" node);
-          up.(node));
+      restart = (fun node -> check node; up.(node) <- true);
+      is_up = (fun node -> check node; up.(node));
       crash_stats = stats;
     }
   in
-  let transport : t =
-    (module struct
-      let name = "crashable+" ^ T.name
-      let nodes = T.nodes
-      let shards = T.shards
-      let shard_of = T.shard_of
-      let now = T.now
-      let schedule = T.schedule
-      let schedule_on = T.schedule_on
-
-      (* The wire still carries the message (bytes are charged, the clock
-         advances), but a down destination never sees the delivery. The
-         up-check runs at ARRIVAL time, not send time: a node that crashes
-         while a message is in flight loses it, and a message sent at a
-         down node before it recovers is lost even if the node is back up
-         when the send is issued — matching a dead NIC, not a full mailbox.
-         Under a sharded transport the check runs on the destination's
-         shard and crash/restart actions are scheduled on the same shard
-         (see [Durable.schedule_crash]), so [up.(dst)] stays single-owner. *)
-      let send ~src ~dst ~bytes k =
-        T.send ~src ~dst ~bytes (fun () ->
-          if up.(dst) then k () else Atomic.incr stats.suppressed)
-
-      let broadcast ~src ~bytes k =
-        for dst = 0 to nodes - 1 do
-          send ~src ~dst ~bytes (fun () -> k dst)
-        done
-
-      let run = T.run
-      let total_bytes = T.total_bytes
-      let messages = T.messages
-    end)
+  (* A down node is a dead NIC, not a full mailbox: see [gate].
+     Crash/restart actions are scheduled on the node's own shard (see
+     [Durable.schedule_crash]). *)
+  let transport =
+    gate (module T) ~name:"crashable"
+      ~pass:(fun ~src:_ ~dst -> up.(dst))
+      ~blocked:(fun ~dst:_ -> Atomic.incr stats.suppressed)
   in
   (transport, control)
 
@@ -345,49 +329,20 @@ let partitionable ?metrics (module T : S) : t * partition_control =
                 Dpc_util.Metrics.incr (f dst)
                   (if up then "net.partition.heals" else "net.partition.cuts")
           end);
-      link_up =
-        (fun ~src ~dst ->
-          check_range src dst;
-          link.((src * n) + dst));
+      link_up = (fun ~src ~dst -> check_range src dst; link.((src * n) + dst));
       partition_stats = stats;
     }
   in
-  let transport : t =
-    (module struct
-      let name = "partitionable+" ^ T.name
-      let nodes = T.nodes
-      let shards = T.shards
-      let shard_of = T.shard_of
-      let now = T.now
-      let schedule = T.schedule
-      let schedule_on = T.schedule_on
-
-      (* Like [crashable], the wire still carries the transmission — bytes
-         charged, clocks advanced — and the link check runs at ARRIVAL
-         time on the destination's shard. A message in flight when the
-         link is cut dies on the floor; one sent into a cut link that
-         heals before arrival survives. [set_link] flips must therefore be
-         scheduled on [shard_of dst] (see [schedule_plan]) so the check
-         stays single-owner under a sharded backend. *)
-      let send ~src ~dst ~bytes k =
-        T.send ~src ~dst ~bytes (fun () ->
-          if link.((src * nodes) + dst) then k ()
-          else begin
-            Atomic.incr stats.lost;
-            match metrics with
-            | None -> ()
-            | Some f -> Dpc_util.Metrics.incr (f dst) "net.partition.lost"
-          end)
-
-      let broadcast ~src ~bytes k =
-        for dst = 0 to nodes - 1 do
-          send ~src ~dst ~bytes (fun () -> k dst)
-        done
-
-      let run = T.run
-      let total_bytes = T.total_bytes
-      let messages = T.messages
-    end)
+  (* [set_link] flips are scheduled on [shard_of dst] (see
+     [schedule_plan]), the shard that runs the gate's check. *)
+  let transport =
+    gate (module T) ~name:"partitionable"
+      ~pass:(fun ~src ~dst -> link.((src * n) + dst))
+      ~blocked:(fun ~dst ->
+        Atomic.incr stats.lost;
+        match metrics with
+        | None -> ()
+        | Some f -> Dpc_util.Metrics.incr (f dst) "net.partition.lost")
   in
   (transport, control)
 

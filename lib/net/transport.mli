@@ -1,9 +1,7 @@
 (** Pluggable message transport between nodes.
 
     The runtime ships tuples and control messages through this interface
-    only; how they travel — through the discrete-event simulator, directly
-    in process, across OCaml domains, or (later) over sockets — is the
-    backend's business. Three backends are provided:
+    only; how they travel is the backend's business. The backends:
 
     - {!of_sim} wraps a {!Sim.t}: hop-by-hop latency and bandwidth,
       per-link byte accounting. Behavior-identical to calling the
@@ -13,7 +11,15 @@
       time (FIFO among equal times), [schedule] still honors its delay,
       and total bytes/messages are counted.
     - {!Shard_sim} (its own module) partitions the node set into shards,
-      one OCaml domain each, and exposes itself through this interface.
+      one OCaml domain each.
+    - {!Socket} (its own module) hosts one node per OS process and
+      reaches its peers over Unix-domain or TCP sockets.
+
+    Faults and delivery guarantees are decorators over any backend, all
+    built on {!intercept}: {!faulty} (message loss), {!crashable} (node
+    crashes), {!partitionable} (link cuts) and {!Reliable} on top. A
+    decorator replaces [send] only; its name is prefixed to the inner
+    one, e.g. ["crashable+direct"].
 
     All backends deliver callbacks through an event queue, never
     synchronously from [send] — senders can rely on run-to-completion of
@@ -92,6 +98,18 @@ val of_sim : Sim.t -> t
 val direct : nodes:int -> unit -> t
 (** A fresh zero-latency in-process transport.
     @raise Invalid_argument if [nodes] is not positive. *)
+
+type send_fn = src:int -> dst:int -> bytes:int -> (unit -> unit) -> unit
+
+val fanout : nodes:int -> send_fn -> src:int -> bytes:int -> (int -> unit) -> unit
+(** [fanout ~nodes send] is the [broadcast] built from [send]: one [send]
+    per node [0 .. nodes-1] in id order, the origin included. *)
+
+val intercept : t -> name:string -> send:send_fn -> t
+(** [intercept inner ~name ~send] is [inner] with [send] replaced:
+    [broadcast] is {!fanout} over the new [send], so the wrapper sees each
+    destination on its own; every other member is [inner]'s, and the name
+    is [name ^ "+" ^ name inner]. *)
 
 (** {2 Fault injection}
 

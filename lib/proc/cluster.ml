@@ -32,25 +32,11 @@ let write_all fd s =
 module Client = struct
   type t = { fd : Unix.file_descr; decoder : Wire.Decoder.t; node : int; mutable seq : int }
 
-  let sockaddr_of addr =
-    match String.index_opt addr ':' with
-    | Some i when String.sub addr 0 i = "unix" ->
-        Unix.ADDR_UNIX (String.sub addr (i + 1) (String.length addr - i - 1))
-    | Some i when String.sub addr 0 i = "tcp" -> (
-        let rest = String.sub addr (i + 1) (String.length addr - i - 1) in
-        match String.rindex_opt rest ':' with
-        | Some j ->
-            let host = String.sub rest 0 j in
-            let port = int_of_string (String.sub rest (j + 1) (String.length rest - j - 1)) in
-            Unix.ADDR_INET ((Unix.gethostbyname host).h_addr_list.(0), port)
-        | None -> failf "malformed tcp address %S" addr)
-    | _ -> failf "malformed address %S" addr
-
   (* The daemon binds its listen socket inside [Daemon.create], so a
      connection refused just means the process has not reached that point
      yet — retry until the deadline. *)
   let connect ~addr ~node ~timeout =
-    let sa = sockaddr_of addr in
+    let sa = Dpc_net.Socket.sockaddr addr in
     let deadline = Unix.gettimeofday () +. timeout in
     let rec attempt () =
       let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in

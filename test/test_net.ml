@@ -328,6 +328,61 @@ let sim_transport () =
 
 let direct_transport () = Transport.direct ~nodes:3 ()
 
+(* Every decorator, and the sharded backend, must pass the same suite as
+   the backends it wraps. *)
+let faulty_transport () =
+  fst (Transport.faulty_with (direct_transport ()) ~decide:(fun ~src:_ ~dst:_ ~bytes:_ ->
+    Transport.F_deliver))
+
+let crashable_transport () = fst (Transport.crashable (sim_transport ()))
+let partitionable_transport () = fst (Transport.partitionable (direct_transport ()))
+let reliable_transport () = Reliable.transport (Reliable.wrap (sim_transport ()))
+
+let shard_transport () = Shard_sim.transport (Shard_sim.create ~domains:1 ~nodes:3 ())
+
+let test_decorator_names_compose () =
+  let faulty, _ =
+    Transport.faulty_with (direct_transport ()) ~decide:(fun ~src:_ ~dst:_ ~bytes:_ ->
+      Transport.F_deliver)
+  in
+  let partitioned, _ = Transport.partitionable faulty in
+  let crashed, _ = Transport.crashable partitioned in
+  let reliable = Reliable.transport (Reliable.wrap crashed) in
+  check Alcotest.string "stacked name" "reliable+crashable+partitionable+faulty+direct"
+    (Transport.name reliable);
+  check Alcotest.int "nodes forwarded" 3 (Transport.nodes reliable);
+  check Alcotest.int "shards forwarded" 1 (Transport.shards reliable)
+
+let test_socket_address_grammar () =
+  (match Socket.sockaddr "unix:node-0.sock" with
+  | Unix.ADDR_UNIX path -> check Alcotest.string "unix path" "node-0.sock" path
+  | Unix.ADDR_INET _ -> Alcotest.fail "unix address parsed as tcp");
+  let inet s =
+    match Socket.sockaddr s with
+    | Unix.ADDR_INET (ip, port) -> (Unix.string_of_inet_addr ip, port)
+    | Unix.ADDR_UNIX _ -> Alcotest.failf "%S parsed as unix" s
+  in
+  let addr = Alcotest.(pair string int) in
+  check addr "tcp host:port" ("127.0.0.1", 7000) (inet "tcp:127.0.0.1:7000");
+  check addr "lowest port" ("127.0.0.1", 1) (inet "tcp:127.0.0.1:1");
+  check addr "highest port" ("127.0.0.1", 65535) (inet "tcp:127.0.0.1:65535");
+  check addr "port after the last colon" ("::1", 7000) (inet "tcp:::1:7000");
+  List.iter
+    (fun s ->
+      match Socket.sockaddr s with
+      | _ -> Alcotest.failf "%S accepted" s
+      | exception Invalid_argument _ -> ())
+    [
+      "unix:";
+      "tcp:127.0.0.1:0";
+      "tcp:127.0.0.1:65536";
+      "tcp:127.0.0.1:abc";
+      "tcp:127.0.0.1:";
+      "tcp:127.0.0.1";
+      "udp:127.0.0.1:7000";
+      "node-0.sock";
+    ]
+
 let test_of_sim_shares_sim_accounting () =
   let t = line_topology 3 in
   let sim = Sim.create ~topology:t ~routing:(Routing.compute t) () in
@@ -1027,13 +1082,23 @@ let () =
           Alcotest.test_case "unreachable send" `Quick test_sim_unreachable_send_fails;
         ]
         @ qsuite [ prop_sim_heap_order ] );
+      (* Group names stay within 30 characters: Alcotest shortens every case
+         name to fit the longest group name, so a longer one would change how
+         every other case in this binary is reported. *)
       ("transport conformance (sim)", conformance sim_transport);
       ("transport conformance (direct)", conformance direct_transport);
+      ("conformance (faulty)", conformance faulty_transport);
+      ("conformance (crashable)", conformance crashable_transport);
+      ("conformance (partitionable)", conformance partitionable_transport);
+      ("conformance (reliable)", conformance reliable_transport);
+      ("conformance (shard_sim)", conformance shard_transport);
       ( "transport backends",
         [
           Alcotest.test_case "of_sim shares accounting" `Quick test_of_sim_shares_sim_accounting;
           Alcotest.test_case "direct zero latency" `Quick test_direct_zero_latency;
           Alcotest.test_case "direct rejects bad args" `Quick test_direct_rejects_bad_args;
+          Alcotest.test_case "decorator names compose" `Quick test_decorator_names_compose;
+          Alcotest.test_case "socket address grammar" `Quick test_socket_address_grammar;
         ]
         @ qsuite [ prop_direct_random_schedule_order ] );
       ( "crash faults",
