@@ -7,206 +7,11 @@ module Db = Dpc_engine.Db
 module Runtime = Dpc_engine.Runtime
 module Journal = Dpc_engine.Journal
 module Transport = Dpc_net.Transport
+module File_io = Dpc_util.File_io
 
 type config = { checkpoint_every : int; rebase_every : int }
 
 let default_config = { checkpoint_every = 64; rebase_every = 8 }
-
-(* Real-disk plumbing. The durability target is crash-stop of the
-   PROCESS (kill -9), not power loss: a completed [write] survives the
-   process because the page cache belongs to the kernel, so "durable"
-   here means written, not fsynced. Upgrading to power-failure
-   durability is one fsync per flush point, in exactly these spots. *)
-
-let write_all fd s =
-  let len = String.length s in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write_substring fd s !off (len - !off)
-  done
-
-(* Atomic file replacement: full content to a temp name, then rename.
-   Readers see the old version or the new one, never a torn middle. *)
-let write_file_atomic path contents =
-  let tmp = path ^ ".tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Fun.protect ~finally:(fun () -> try Unix.close fd with _ -> ()) (fun () -> write_all fd contents);
-  Sys.rename tmp path
-
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
-module Outbox = struct
-  (* The persist-before-send ledger: a [Send] record reaches this file
-     before the frame's first transmission, so an outgoing message can
-     never be lost to a sender crash — on restart the unacked tail is
-     re-offered and the receiver's dedup window absorbs any overlap.
-     [Ack] records let compaction drop delivered payloads; [Mark]
-     records survive compaction as the per-channel sequence summary
-     (without them a compacted ledger would forget how many sends ever
-     existed, and recovery could re-issue a used sequence number). *)
-
-  type chan = {
-    mutable recorded : int;  (* highest sequence ever written for this dst *)
-    mutable acked : int;  (* highest cumulatively acknowledged sequence *)
-    pending : (int, string) Hashtbl.t;  (* recorded, not yet acked *)
-  }
-
-  type t = {
-    path : string;
-    mutable fd : Unix.file_descr;
-    chans : (int, chan) Hashtbl.t;
-    mutable bytes : int;
-  }
-
-  let magic = "dpc-outbox-v1"
-
-  let chan_of t dst =
-    match Hashtbl.find_opt t.chans dst with
-    | Some c -> c
-    | None ->
-        let c = { recorded = 0; acked = 0; pending = Hashtbl.create 8 } in
-        Hashtbl.replace t.chans dst c;
-        c
-
-  let drop_acked c upto =
-    Hashtbl.iter
-      (fun seq _ -> if seq <= upto then Hashtbl.remove c.pending seq)
-      (Hashtbl.copy c.pending)
-
-  let apply_send t dst seq payload =
-    let c = chan_of t dst in
-    if seq > c.recorded then c.recorded <- seq;
-    if seq > c.acked then Hashtbl.replace c.pending seq payload
-
-  let apply_ack t dst seq =
-    let c = chan_of t dst in
-    if seq > c.acked then begin
-      c.acked <- seq;
-      drop_acked c seq
-    end
-
-  let apply_mark t dst recorded acked =
-    let c = chan_of t dst in
-    if recorded > c.recorded then c.recorded <- recorded;
-    if acked > c.acked then begin
-      c.acked <- acked;
-      drop_acked c acked
-    end
-
-  let read_record t r =
-    match S.read_varint r with
-    | 0 ->
-        let dst = S.read_varint r in
-        let seq = S.read_varint r in
-        let payload = S.read_string r in
-        apply_send t dst seq payload
-    | 1 ->
-        let dst = S.read_varint r in
-        let seq = S.read_varint r in
-        apply_ack t dst seq
-    | 2 ->
-        let dst = S.read_varint r in
-        let recorded = S.read_varint r in
-        let acked = S.read_varint r in
-        apply_mark t dst recorded acked
-    | tag -> raise (S.Corrupt (Printf.sprintf "outbox: unknown record tag %d" tag))
-
-  let open_ ~dir =
-    let path = Filename.concat dir "outbox.log" in
-    let t = { path; fd = Unix.stdin; chans = Hashtbl.create 8; bytes = 0 } in
-    let existing = Sys.file_exists path in
-    if existing then begin
-      let contents = read_file path in
-      if contents <> "" then begin
-        let r = S.reader contents in
-        (match S.read_string r with
-        | m when m = magic -> ()
-        | m -> raise (S.Corrupt (Printf.sprintf "outbox: bad magic %S in %s" m path))
-        | exception S.Corrupt _ ->
-            raise (S.Corrupt (Printf.sprintf "outbox: unreadable header in %s" path)));
-        (* A kill can tear the last record mid-write; everything after the
-           first undecodable byte was never acknowledged to anyone (the
-           record had not finished persisting, so the frame never went
-           out) and is safely dropped. *)
-        (try
-           while not (S.at_end r) do
-             read_record t r
-           done
-         with S.Corrupt _ -> ());
-        t.bytes <- String.length contents
-      end
-    end;
-    t.fd <- Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644;
-    if (not existing) || t.bytes = 0 then begin
-      let header = S.with_scratch (fun w -> S.write_string w magic) in
-      write_all t.fd header;
-      t.bytes <- String.length header
-    end;
-    t
-
-  let append t blob =
-    write_all t.fd blob;
-    t.bytes <- t.bytes + String.length blob
-
-  let record_send t ~dst ~seq payload =
-    apply_send t dst seq payload;
-    append t
-      (S.with_scratch (fun w ->
-           S.write_varint w 0;
-           S.write_varint w dst;
-           S.write_varint w seq;
-           S.write_string w payload))
-
-  let record_ack t ~dst ~seq =
-    if seq > (chan_of t dst).acked then begin
-      apply_ack t dst seq;
-      append t
-        (S.with_scratch (fun w ->
-             S.write_varint w 1;
-             S.write_varint w dst;
-             S.write_varint w seq))
-    end
-
-  let pending t =
-    Hashtbl.fold
-      (fun dst c acc ->
-        Hashtbl.fold (fun seq payload acc -> (dst, seq, payload) :: acc) c.pending acc)
-      t.chans []
-    |> List.sort compare
-
-  let next_seq t ~dst = (chan_of t dst).recorded + 1
-  let recorded t ~dst = (chan_of t dst).recorded
-  let acked t ~dst = (chan_of t dst).acked
-  let size_bytes t = t.bytes
-
-  let compact t =
-    let blob =
-      S.with_scratch (fun w ->
-          S.write_string w magic;
-          let dsts = Hashtbl.fold (fun dst _ acc -> dst :: acc) t.chans [] |> List.sort compare in
-          List.iter
-            (fun dst ->
-              let c = chan_of t dst in
-              S.write_varint w 2;
-              S.write_varint w dst;
-              S.write_varint w c.recorded;
-              S.write_varint w c.acked;
-              Hashtbl.fold (fun seq payload acc -> (seq, payload) :: acc) c.pending []
-              |> List.sort compare
-              |> List.iter (fun (seq, payload) ->
-                     S.write_varint w 0;
-                     S.write_varint w dst;
-                     S.write_varint w seq;
-                     S.write_string w payload))
-            dsts)
-    in
-    Unix.close t.fd;
-    write_file_atomic t.path blob;
-    t.fd <- Unix.openfile t.path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644;
-    t.bytes <- String.length blob
-
-  let close t = try Unix.close t.fd with _ -> ()
-end
 
 (* What a node needs to come back: the store tables, the slow-table
    database, and its reliable-channel sequence state, all as of the same
@@ -227,7 +32,6 @@ type disk = {
   mutable base_id : int;  (* cut id of the full checkpoint; -1 before the first *)
   mutable delta_ids : int list;  (* oldest first *)
   mutable next_cut : int;
-  outbox : Outbox.t;
 }
 
 type node_log = {
@@ -322,9 +126,14 @@ let cut_magic = "dpc-cut-v1"
 let wal_path dir epoch = Filename.concat dir (Printf.sprintf "wal-%d.log" epoch)
 let cut_path dir id = Filename.concat dir (Printf.sprintf "cut-%d.bin" id)
 let manifest_path dir = Filename.concat dir "manifest"
+let node_dir root node = Filename.concat root (Printf.sprintf "node-%d" node)
+
+(* A decoded artifact must end where its last field does: trailing bytes
+   mean a torn or spliced file, never a format this code wrote. *)
+let expect_end r what = if not (S.at_end r) then raise (S.Corrupt ("trailing bytes in " ^ what))
 
 let write_manifest d =
-  write_file_atomic (manifest_path d.dir)
+  File_io.write_file_atomic (manifest_path d.dir)
     (S.with_scratch (fun w ->
          S.write_string w manifest_magic;
          S.write_varint w d.epoch;
@@ -332,16 +141,17 @@ let write_manifest d =
          S.write_list w (S.write_varint w) d.delta_ids))
 
 let read_manifest dir =
-  let r = S.reader (read_file (manifest_path dir)) in
+  let r = S.reader (File_io.read_file (manifest_path dir)) in
   let m = S.read_string r in
   if m <> manifest_magic then raise (S.Corrupt (Printf.sprintf "manifest: bad magic %S" m));
   let epoch = S.read_varint r in
   let base_id = S.read_varint r in
   let delta_ids = S.read_list r (fun () -> S.read_varint r) in
+  expect_end r "manifest";
   (epoch, base_id, delta_ids)
 
 let write_cut dir id ~is_delta (c : checkpoint) =
-  write_file_atomic (cut_path dir id)
+  File_io.write_file_atomic (cut_path dir id)
     (S.with_scratch (fun w ->
          S.write_string w cut_magic;
          S.write_bool w is_delta;
@@ -354,16 +164,19 @@ let write_cut dir id ~is_delta (c : checkpoint) =
              S.write_string w s))
 
 let read_cut dir id =
-  let r = S.reader (read_file (cut_path dir id)) in
+  let r = S.reader (File_io.read_file (cut_path dir id)) in
   let m = S.read_string r in
   if m <> cut_magic then raise (S.Corrupt (Printf.sprintf "cut %d: bad magic %S" id m));
   let is_delta = S.read_bool r in
   let store = S.read_string r in
   let db = S.read_string r in
   let channels = if S.read_bool r then Some (S.read_string r) else None in
+  expect_end r (Printf.sprintf "cut %d" id);
   (is_delta, { store; db; channels })
 
-(* Drop files a crash between manifest commit and cleanup left behind. *)
+(* Drop files a crash between manifest commit and cleanup left behind.
+   A host may keep its own ledger in the same directory; the sweep keeps
+   it (a torn compaction's [.tmp] of it is fair game). *)
 let sweep_unreferenced d =
   let referenced name =
     name = "manifest" || name = "outbox.log"
@@ -393,7 +206,7 @@ let flush_group t node =
   if log.pending_entries > 0 then begin
     let blob = S.contents log.pending in
     log.wal <- blob :: log.wal;
-    (match log.disk with None -> () | Some d -> write_all d.wal_fd blob);
+    (match log.disk with None -> () | Some d -> File_io.write_all d.wal_fd blob);
     S.reset log.pending;
     log.pending_entries <- 0;
     Metrics.incr (metrics t node) ~by:log.pending_bytes "crash.wal_bytes";
@@ -507,12 +320,6 @@ let on_channel_event t (ev : Dpc_net.Chan.event) =
   | Next_seq { src; dst; seq } -> append t src (Journal.Next_seq { peer = dst; seq })
   | Expected { src; dst; seq } -> append t dst (Journal.Expected { peer = src; seq })
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* Rebuild a node's in-memory log from its directory. The wal's valid
    prefix is kept and the file is rewritten clean before reopening for
    append — a torn tail (the kill landed mid-write) was never covered by
@@ -539,7 +346,7 @@ let load_disk_state t node dir =
   let wpath = wal_path dir epoch in
   let entries =
     if Sys.file_exists wpath then begin
-      let r = S.reader (read_file wpath) in
+      let r = S.reader (File_io.read_file wpath) in
       let acc = ref [] in
       (try
          while not (S.at_end r) do
@@ -551,7 +358,7 @@ let load_disk_state t node dir =
     else []
   in
   let blob = S.with_scratch (fun w -> List.iter (Journal.write w) entries) in
-  write_file_atomic wpath blob;
+  File_io.write_file_atomic wpath blob;
   if entries <> [] then log.wal <- [ blob ];
   log.wal_entries <- List.length entries;
   log.boundaries <- List.length (List.filter Journal.is_boundary entries);
@@ -565,14 +372,13 @@ let load_disk_state t node dir =
       base_id;
       delta_ids;
       next_cut = 1 + List.fold_left max base_id delta_ids;
-      outbox = Outbox.open_ ~dir;
     }
   in
   log.disk <- Some d;
   sweep_unreferenced d
 
 let init_disk_state t node dir =
-  mkdir_p dir;
+  File_io.mkdir_p dir;
   let d =
     {
       dir;
@@ -581,7 +387,6 @@ let init_disk_state t node dir =
       base_id = -1;
       delta_ids = [];
       next_cut = 0;
-      outbox = Outbox.open_ ~dir;
     }
   in
   t.logs.(node).disk <- Some d
@@ -607,11 +412,11 @@ let attach ~backend ~runtime ~control ?(config = default_config) ?disk
   (match disk with
   | None -> ()
   | Some root ->
-      mkdir_p root;
+      File_io.mkdir_p root;
       Array.iteri
         (fun node _ ->
           if disk_nodes node then begin
-            let dir = Filename.concat root (Printf.sprintf "node-%d" node) in
+            let dir = node_dir root node in
             if Sys.file_exists (manifest_path dir) then begin
               load_disk_state t node dir;
               t.from_disk.(node) <- true
@@ -627,7 +432,7 @@ let attach ~backend ~runtime ~control ?(config = default_config) ?disk
     let log = t.logs.(querier) in
     log.queries_degraded <- log.queries_degraded + 1;
     Metrics.incr (metrics t querier) "crash.queries_degraded");
-  (Runtime.channels runtime).set_persist (on_channel_event t);
+  (Runtime.channels runtime).observe (on_channel_event t);
   Runtime.set_availability runtime control.Transport.is_up;
   (* Dirty tracking must be live BEFORE the first cut so every write
      after checkpoint 0 lands in some delta — both the provenance stores
@@ -749,9 +554,6 @@ let recover t node =
 
 let journal t node entry = append t node entry
 let flush_wal t node = flush_group t node
-
-let outbox t node =
-  match t.logs.(node).disk with Some d -> Some d.outbox | None -> None
 
 let checkpoint_now t node =
   if not (is_up t node) then invalid_arg "Durable.checkpoint_now: node is down";

@@ -24,7 +24,8 @@
     its [snapshot], {!crash} its [forget], recovery its [restore], and
     its events are journaled. Whether the channels belong to an
     in-process {!Dpc_net.Reliable} or a {!Dpc_net.Socket} is not this
-    module's concern. *)
+    module's concern, and neither is a real-process sender's ledger
+    ([Dpc_net.Socket] keeps its own, beside this log in {!node_dir}). *)
 
 type config = {
   checkpoint_every : int;
@@ -45,49 +46,6 @@ val default_config : config
 
 type t
 
-(** {2 The durable outbox ledger}
-
-    The persist-before-send half of real-process exactly-once: a send's
-    [Send] record reaches the ledger file (and the kernel) before the
-    frame's first transmission, so a sender crash can delay an outgoing
-    message but never lose it — restart re-offers the unacked tail and
-    the receiver's dedup window absorbs the overlap. [dpc-outbox-v1] on
-    disk: an append-only run of Send / Ack / Mark records; a torn tail
-    (the kill landed mid-append) is dropped at load, which is safe
-    because an unfinished record's frame was never transmitted. *)
-module Outbox : sig
-  type t
-
-  val open_ : dir:string -> t
-  (** Load (or create) [dir]/outbox.log.
-      @raise Dpc_util.Serialize.Corrupt on an unreadable header. *)
-
-  val record_send : t -> dst:int -> seq:int -> string -> unit
-  (** Append one send, write-through. Call BEFORE first transmission. *)
-
-  val record_ack : t -> dst:int -> seq:int -> unit
-  (** Cumulative: [seq] and below are delivered; their payloads become
-      reclaimable by {!compact}. No-op if not an advance. *)
-
-  val pending : t -> (int * int * string) list
-  (** Recorded-but-unacked sends as [(dst, seq, payload)], sorted — the
-      tail to re-offer ([Dpc_net.Socket.requeue]) after a restart. *)
-
-  val next_seq : t -> dst:int -> int
-  (** 1 + the highest sequence ever recorded toward [dst] — the durable
-      channel cursor a restarted sender resumes from. *)
-
-  val recorded : t -> dst:int -> int
-  val acked : t -> dst:int -> int
-
-  val compact : t -> unit
-  (** Atomically rewrite the ledger as per-channel [Mark] summaries plus
-      the pending payloads, dropping acked ones. *)
-
-  val size_bytes : t -> int
-  val close : t -> unit
-end
-
 val attach :
   backend:Backend.t ->
   runtime:Dpc_engine.Runtime.t ->
@@ -99,7 +57,7 @@ val attach :
   t
 (** Wire durability into a built world: installs the runtime's journal
     sink ({!Dpc_engine.Runtime.set_journal}), the channel handle's
-    sequence-state persister ([set_persist] of
+    sequence-state persister ([observe] of
     {!Dpc_engine.Runtime.channels} — install the handle first), and the
     injection availability predicate, then seals the pre-attach state
     (e.g. slow tables loaded by the generator) into each node's
@@ -110,15 +68,22 @@ val attach :
     [disk/node-<i>/] (restricted to the nodes [disk_nodes] selects,
     default all — a [dpcd] daemon passes its own node only): checkpoint
     cuts as [cut-<id>.bin] files, the journal tail as [wal-<epoch>.log]
-    (each {!flush_wal} group written through), an {!Outbox} ledger, and
-    a [manifest] whose atomic replacement is a compaction's commit point
+    (each {!flush_wal} group written through), and a [manifest] whose
+    atomic replacement is a compaction's commit point
     — a kill at any instant leaves the previous generation intact. The
     durability model is process crash (kill -9): writes are pushed to
     the kernel but not fsynced. If a node's directory already holds a
     manifest, its log is loaded instead of sealed fresh ({!recovered}
     turns true) and the caller must {!recover} it before traffic.
-    @raise Dpc_util.Serialize.Corrupt on an undecodable manifest or cut
-    (a torn WAL {e tail} is tolerated and trimmed). *)
+    @raise Dpc_util.Serialize.Corrupt on an undecodable manifest or cut,
+    including one with trailing bytes (a torn WAL {e tail} is tolerated
+    and trimmed). *)
+
+val node_dir : string -> int -> string
+(** [node_dir disk node] is the directory {!attach} mirrors the node's
+    log into. A host may keep its own files there: the sweep at load
+    removes only the [cut-*], [wal-*] and [*.tmp] files no manifest
+    references. *)
 
 val recovered : t -> int -> bool
 (** Whether attach found existing on-disk state for the node. *)
@@ -128,8 +93,9 @@ val recover : t -> int -> unit
     newest cut chain, then replay the wal tail through
     {!Dpc_engine.Runtime.replay}. The real-process counterpart of
     {!restart} — the process died instead of the simulated node, so
-    there is no wire to reconnect; the caller raises the send cursors to
-    its outbox ledger and re-offers the outbox tail itself. Adds to
+    there is no wire to reconnect, and the remote sends the replay
+    regenerates go to the [replayed] hook of
+    {!Dpc_engine.Runtime.set_remote} for the host to reconcile. Adds to
     [crash.recovery_ms]. *)
 
 val journal : t -> int -> Dpc_engine.Journal.entry -> unit
@@ -142,9 +108,6 @@ val flush_wal : t -> int -> unit
     disk mode, through to the kernel. A real-process host calls this
     before acknowledging deliveries and before recording an outgoing
     send, so no peer ever holds a promise the journal does not. *)
-
-val outbox : t -> int -> Outbox.t option
-(** The node's outbox ledger ([None] unless attached with [?disk]). *)
 
 val crash : t -> int -> unit
 (** Take the node down NOW: cut its wire, wipe its volatile state

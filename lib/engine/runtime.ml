@@ -276,6 +276,18 @@ let broadcast_sig t node op tuple =
         else r.remote_ship ~dst:target ~bytes ~payload:(encode_entry (Journal.Sig { op; tuple }))
       done
 
+(* Replay's half of a sig broadcast: the remote targets, in the live
+   loop's order, re-offered like every other regenerated remote send
+   (see [ship]). Local targets journaled their own [Sig] on delivery. *)
+let replay_sig t op tuple =
+  match t.remote with
+  | None -> ()
+  | Some r ->
+      let payload = encode_entry (Journal.Sig { op; tuple }) in
+      for target = 0 to Array.length t.nodes - 1 do
+        if not (r.is_local target) then r.replayed_ship ~dst:target ~payload
+      done
+
 let deliver_remote t ~node payload =
   let entry = Journal.read (Dpc_util.Serialize.reader payload) in
   match entry with
@@ -362,8 +374,10 @@ let replay t ~node entries =
               process t ~input:true node event meta
           | Arrival { event; meta } -> process t ~input:false node event meta
           | Sig { op; tuple } -> t.hook.on_slow_update ~node ~op tuple
-          | Slow_insert tuple -> ignore (Db.insert (db t node) tuple)
-          | Slow_delete tuple -> ignore (Db.remove (db t node) tuple)
+          | Slow_insert tuple ->
+              if Db.insert (db t node) tuple then replay_sig t Prov_hook.Slow_insert tuple
+          | Slow_delete tuple ->
+              if Db.remove (db t node) tuple then replay_sig t Prov_hook.Slow_delete tuple
           | Load tuple -> ignore (Db.insert (db t node) tuple)
           | Next_seq { peer; seq } -> t.channels.raise_next_seq ~src:node ~dst:peer seq
           | Expected { peer; seq } -> t.channels.raise_expected ~src:peer ~dst:node seq)

@@ -151,7 +151,7 @@ val set_journal : t -> (node:int -> Journal.entry -> unit) -> unit
     the owning node and before applying the effect: injected inputs,
     event arrivals (with their meta), delivered [sig] messages,
     slow-table loads and runtime mutations. Channel advances are
-    reported through the {!channels} handle's [set_persist], not here. *)
+    reported through the {!channels} handle's [observe], not here. *)
 
 val set_availability : t -> (int -> bool) -> unit
 (** Tell {!inject} which nodes are up. An injection whose node is down is
@@ -168,9 +168,11 @@ val replay : t -> node:int -> Journal.entry list -> unit
     cluster-global {!stats} counters suppressed (per-node metric ticks
     are kept — the node's registry was wiped with it). Channel entries
     raise the sequence state behind the {!channels} handle monotonically,
-    in place. Remote-destined sends regenerated during
-    replay are re-offered through the [replayed] hook of {!set_remote}
-    (see there) instead of being dropped. *)
+    in place. Remote-destined sends regenerated during replay — arrivals
+    shipped onward and the remote half of a journaled slow update's
+    [sig] broadcast — are re-offered through the [replayed] hook of
+    {!set_remote} (see there), in their live order, instead of being
+    dropped. *)
 
 (** {2 Real-process support}
 
@@ -196,7 +198,8 @@ val set_remote :
     write-ahead record from the durable-outbox records of the sends it
     caused, so the host must reconcile each re-offered payload against
     its outbox ledger by per-channel position — skip the prefix the
-    ledger already has, record-and-transmit the missing tail. *)
+    ledger already has, record-and-transmit the missing tail
+    ([Dpc_net.Socket.reoffer]). *)
 
 val deliver_remote : t -> node:int -> string -> unit
 (** Apply one payload shipped by a peer process's [ship] hook to the

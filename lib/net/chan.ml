@@ -131,7 +131,7 @@ type handle = {
   raise_next_seq : src:int -> dst:int -> int -> unit;
   raise_expected : src:int -> dst:int -> int -> unit;
   forget : node:int -> unit;
-  set_persist : (event -> unit) -> unit;
+  observe : (event -> unit) -> unit;
 }
 
 let stateless =
@@ -141,5 +141,5 @@ let stateless =
     raise_next_seq = (fun ~src:_ ~dst:_ _ -> ());
     raise_expected = (fun ~src:_ ~dst:_ _ -> ());
     forget = (fun ~node:_ -> ());
-    set_persist = ignore;
+    observe = ignore;
   }

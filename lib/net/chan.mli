@@ -124,8 +124,9 @@ type handle = {
   raise_next_seq : src:int -> dst:int -> int -> unit;
   raise_expected : src:int -> dst:int -> int -> unit;
   forget : node:int -> unit;  (** wipe the node's volatile channel state *)
-  set_persist : (event -> unit) -> unit;
-      (** observe sequence-state advances for write-ahead logging;
+  observe : (event -> unit) -> unit;
+      (** install the callback that sees sequence-state advances, for
+          write-ahead logging;
           [Expected] fires before the delivery it covers *)
 }
 

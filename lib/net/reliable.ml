@@ -308,7 +308,7 @@ let channels t : Chan.handle =
     raise_next_seq = set_next_seq t;
     raise_expected = set_expected t;
     forget = forget t;
-    set_persist = (fun f -> t.persist <- Some f);
+    observe = (fun f -> t.persist <- Some f);
   }
 
 let transport t = Transport.intercept t.inner ~name:"reliable" ~send:(send t)

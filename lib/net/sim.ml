@@ -1,15 +1,10 @@
-type event = { at : float; seq : int; action : unit -> unit }
-
 type t = {
   topo : Topology.t;
   routing : Routing.t;
   bucket_width : float;
   jitter : float;
   rng : Dpc_util.Rng.t;
-  queue : event Dpc_util.Heap.t;
-  mutable clock : float;
-  mutable next_seq : int;
-  mutable processed : int;
+  queue : Event_queue.t;
   mutable total_bytes : int;
   mutable messages : int;
   link_counters : (int * int, int ref) Hashtbl.t;
@@ -24,12 +19,7 @@ let create ?(bucket_width = 1.0) ?(jitter = 0.0) ?(seed = 0) ~topology ~routing 
     bucket_width;
     jitter;
     rng = Dpc_util.Rng.create ~seed;
-    queue =
-      Dpc_util.Heap.create ~cmp:(fun a b ->
-        match compare a.at b.at with 0 -> compare a.seq b.seq | c -> c);
-    clock = 0.0;
-    next_seq = 0;
-    processed = 0;
+    queue = Event_queue.create ();
     total_bytes = 0;
     messages = 0;
     link_counters = Hashtbl.create 64;
@@ -38,16 +28,8 @@ let create ?(bucket_width = 1.0) ?(jitter = 0.0) ?(seed = 0) ~topology ~routing 
 
 let topology t = t.topo
 let routing t = t.routing
-let now t = t.clock
-
-let schedule_at t at action =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  Dpc_util.Heap.push t.queue { at; seq; action }
-
-let schedule t ~delay action =
-  if delay < 0.0 then invalid_arg "Sim.schedule: negative delay";
-  schedule_at t (t.clock +. delay) action
+let now t = Event_queue.now t.queue
+let schedule t ~delay action = Event_queue.schedule t.queue ~delay action
 
 let counter tbl key =
   match Hashtbl.find_opt tbl key with
@@ -89,29 +71,13 @@ let send t ~src ~dst ~bytes k =
               hops arrival rest
           | [ _ ] | [] -> at
         in
-        let arrival = hops t.clock path +. jitter_delay t in
-        schedule_at t arrival k
+        let arrival = hops (now t) path +. jitter_delay t in
+        Event_queue.schedule_at t.queue arrival k
   end
 
-let run ?until t =
-  let limit = match until with None -> infinity | Some u -> u in
-  let rec go () =
-    match Dpc_util.Heap.pop t.queue with
-    | None -> ()
-    | Some ev when ev.at >= limit ->
-        (* Reached the horizon: the interval is half-open, so an event
-           exactly at [until] stays queued for the next run. Push it back
-           (its seq is preserved, so equal-time ordering survives). *)
-        Dpc_util.Heap.push t.queue ev
-    | Some ev ->
-        t.clock <- max t.clock ev.at;
-        t.processed <- t.processed + 1;
-        ev.action ();
-        go ()
-  in
-  go ()
+let run ?until t = Event_queue.run ?until t.queue
 
-let events_processed t = t.processed
+let events_processed t = Event_queue.processed t.queue
 let total_bytes t = t.total_bytes
 
 let link_bytes t =

@@ -1,14 +1,9 @@
 module Clock = Dpc_util.Clock
-module Heap = Dpc_util.Heap
 
 (* Unacked-frame rescan period and the delay before re-dialing a failed
    peer connection, seconds. *)
 let retransmit_every = 0.25
 let dial_retry = 0.2
-
-type persist_event =
-  | Sent of { dst : int; seq : int; payload : string }
-  | Acked of { dst : int; seq : int }
 
 type stats = {
   data_sent : int;
@@ -60,16 +55,7 @@ type conn = {
   outbound_to : int option;  (* [Some dst] on our dial to a peer *)
 }
 
-(* Sequences are 1-based, so an ack of 0 acknowledges nothing. *)
-type out_chan = {
-  tx : Chan.tx;
-  mutable o_acked : int;  (* highest cumulatively acked sequence *)
-  unacked : (int, string) Hashtbl.t;
-}
-
 type in_chan = { rx : string Chan.rx; mutable ack_due : bool }
-
-type timer = { at : float; tie : int; fn : unit -> unit }
 
 type t = {
   nodes : int;
@@ -82,13 +68,14 @@ type t = {
   mutable conns : conn list;
   out_conns : (int, conn) Hashtbl.t;
   redial_armed : (int, unit) Hashtbl.t;
-  out_chans : (int, out_chan) Hashtbl.t;
+  (* The sender side: per-destination sequence cursors (1-based), and
+     the ledger holding every unacked frame and ack watermark. *)
+  txs : Chan.tx array;
+  outbox : Outbox.t;
   in_chans : (int, in_chan) Hashtbl.t;
-  timers : timer Heap.t;
-  mutable timer_tie : int;
+  timers : Event_queue.t;
   mutable deliver : (src:int -> payload:string -> unit) option;
   mutable control : (payload:string -> reply:(string -> unit) -> unit) option;
-  mutable persist : (persist_event -> unit) option;
   mutable chan_persist : (Chan.event -> unit) option;
   mutable sync : (unit -> unit) option;
   mutable delivered_any : bool;
@@ -117,19 +104,14 @@ type t = {
 
 let now t = Clock.now () -. t.epoch
 
-let persist t ev = match t.persist with Some f -> f ev | None -> ()
+let schedule_at t at fn = Event_queue.schedule_at t.timers at fn
 
-let schedule_at t at fn =
-  t.timer_tie <- t.timer_tie + 1;
-  Heap.push t.timers { at; tie = t.timer_tie; fn }
-
-let out_chan_of t dst =
-  match Hashtbl.find_opt t.out_chans dst with
-  | Some ch -> ch
-  | None ->
-      let ch = { tx = Chan.tx ~base:1; o_acked = 0; unacked = Hashtbl.create 16 } in
-      Hashtbl.replace t.out_chans dst ch;
-      ch
+(* The cursor never trails the ledger: a send the ledger holds has taken
+   its sequence, whichever process recorded it. *)
+let tx_of t dst =
+  let tx = t.txs.(dst) in
+  ignore (Chan.raise_next_seq tx (Outbox.next_seq t.outbox ~dst));
+  tx
 
 let in_chan_of t src =
   match Hashtbl.find_opt t.in_chans src with
@@ -138,18 +120,6 @@ let in_chan_of t src =
       let ch = { rx = Chan.rx ~base:1; ack_due = false } in
       Hashtbl.replace t.in_chans src ch;
       ch
-
-(* Cumulative: an ack of [v] retires every unacked frame up to [v]. *)
-let raise_acked t ~dst v =
-  let ch = out_chan_of t dst in
-  v > ch.o_acked
-  && begin
-       for s = ch.o_acked + 1 to v do
-         Hashtbl.remove ch.unacked s
-       done;
-       ch.o_acked <- v;
-       true
-     end
 
 let conn_alive c = not (c.closed || c.connecting)
 
@@ -199,10 +169,7 @@ and arm_redial t dst =
 
 (* A peer is worth (re)dialing while we owe it data or acks. *)
 and want_peer t dst =
-  (match Hashtbl.find_opt t.out_chans dst with
-  | Some ch -> Hashtbl.length ch.unacked > 0
-  | None -> false)
-  || Hashtbl.mem t.in_chans dst
+  Outbox.has_pending t.outbox ~dst || Hashtbl.mem t.in_chans dst
 
 and ensure_dial t dst =
   if
@@ -250,28 +217,21 @@ and enqueue_frame t c frame_bytes =
 and dial_connected t dst c =
   t.m_reconnects <- t.m_reconnects + 1;
   enqueue_frame t c (Wire.encode { kind = Hello; src = t.local; dst; seq = 0; payload = "" });
-  resend_unacked t dst c ~count_retransmits:false;
+  resend_unacked t dst ~count_retransmits:false;
   match Hashtbl.find_opt t.in_chans dst with
   | Some ch ->
       ch.ack_due <- false;
       send_ack_frame t dst c ch
   | None -> ()
 
-and resend_unacked t dst _c ~count_retransmits =
-  match Hashtbl.find_opt t.out_chans dst with
-  | None -> ()
-  | Some ch ->
-      for seq = ch.o_acked + 1 to Chan.next_seq ch.tx - 1 do
-        match Hashtbl.find_opt ch.unacked seq with
-        | Some payload ->
-            if count_retransmits then t.m_retransmits <- t.m_retransmits + 1;
-            transmit_data t dst (Wire.encode { kind = Data; src = t.local; dst; seq; payload })
-        | None -> ()
-      done
+and resend_unacked t dst ~count_retransmits =
+  Outbox.iter_pending t.outbox ~dst (fun seq payload ->
+      if count_retransmits then t.m_retransmits <- t.m_retransmits + 1;
+      transmit_data t dst (Wire.encode { kind = Data; src = t.local; dst; seq; payload }))
 
 (* Every outgoing data frame funnels through here so link chaos has one
    injection point. A dropped frame never reaches the wire — it stays in
-   the unacked set and the retransmit scan re-offers it; a duplicate is
+   the ledger and the retransmit scan re-offers it; a duplicate is
    enqueued twice (the peer's dedup window eats the copy); a delayed
    frame is re-offered by a timer, re-checking the connection then. *)
 and transmit_data t dst wire =
@@ -313,14 +273,20 @@ let send_ack t peer =
 
 (* ---- the data plane -------------------------------------------------- *)
 
+let check_remote t fn dst =
+  if dst < 0 || dst >= t.nodes then invalid_arg (fn ^ ": destination out of range");
+  if dst = t.local then invalid_arg (fn ^ ": local destination goes through Transport.send")
+
+let sync t = match t.sync with Some f -> f () | None -> ()
+
 let send_payload t ~dst payload =
-  if dst < 0 || dst >= t.nodes then invalid_arg "Socket.send_payload: destination out of range";
-  if dst = t.local then
-    invalid_arg "Socket.send_payload: local destination goes through Transport.send";
-  let ch = out_chan_of t dst in
-  let seq = Chan.assign ch.tx in
-  persist t (Sent { dst; seq; payload });
-  Hashtbl.replace ch.unacked seq payload;
+  check_remote t "Socket.send_payload" dst;
+  let seq = Chan.assign (tx_of t dst) in
+  (* The host's write-ahead log holds this send's cause (the arrival or
+     input being processed right now); it reaches disk before the ledger
+     promises the send, so no record outlives its origin. *)
+  sync t;
+  Outbox.record_send t.outbox ~dst ~seq payload;
   t.m_data_sent <- t.m_data_sent + 1;
   t.msgs_total <- t.msgs_total + 1;
   let wire = Wire.encode { kind = Data; src = t.local; dst; seq; payload } in
@@ -358,7 +324,7 @@ let handle_frame t c (f : Wire.frame) =
       end
   | Ack when Hashtbl.mem t.blocked f.src ->
       t.m_blocked_drops <- t.m_blocked_drops + 1
-  | Ack -> if raise_acked t ~dst:f.src f.seq then persist t (Acked { dst = f.src; seq = f.seq })
+  | Ack -> Outbox.record_ack t.outbox ~dst:f.src ~seq:f.seq
   | Ctrl -> (
       match t.control with
       | Some h ->
@@ -426,33 +392,22 @@ let check_connect t c =
    The order is the whole point — an ack is a durable promise. *)
 let finish_batch t =
   if t.delivered_any then begin
-    (match t.sync with Some f -> f () | None -> ());
+    sync t;
     t.delivered_any <- false
   end;
   Hashtbl.iter (fun src ch -> if ch.ack_due then send_ack t src) t.in_chans
 
-let fire_due_timers t =
-  let continue = ref true in
-  while !continue do
-    match Heap.peek t.timers with
-    | Some tm when tm.at <= now t ->
-        ignore (Heap.pop t.timers);
-        tm.fn ()
-    | _ -> continue := false
-  done
-
 let retransmit_scan t =
-  Hashtbl.iter
-    (fun dst ch ->
-      if Hashtbl.length ch.unacked > 0 then
-        match Hashtbl.find_opt t.out_conns dst with
-        | Some c when conn_alive c ->
-            (* Skip while a previous burst is still draining: re-queueing
-               on a congested connection only amplifies the backlog. *)
-            if outq_bytes c < 1 lsl 20 then resend_unacked t dst c ~count_retransmits:true
-        | Some _ -> ()
-        | None -> ensure_dial t dst)
-    t.out_chans;
+  for dst = 0 to t.nodes - 1 do
+    if Outbox.has_pending t.outbox ~dst then
+      match Hashtbl.find_opt t.out_conns dst with
+      | Some c when conn_alive c ->
+          (* Skip while a previous burst is still draining: re-queueing
+             on a congested connection only amplifies the backlog. *)
+          if outq_bytes c < 1 lsl 20 then resend_unacked t dst ~count_retransmits:true
+      | Some _ -> ()
+      | None -> ensure_dial t dst
+  done;
   Hashtbl.iter
     (fun src ch ->
       if ch.ack_due then
@@ -466,7 +421,7 @@ let retransmit_scan t =
 let run_loop t ?until () =
   let horizon_open () = match until with Some u -> now t < u | None -> true in
   while (not t.stopped) && horizon_open () do
-    fire_due_timers t;
+    Event_queue.run t.timers ~until:(now t);
     if (not t.stopped) && horizon_open () then begin
       let conns = t.conns in
       List.iter (fun c -> if (not c.closed) && not (Queue.is_empty c.outq) then flush_conn t c) conns;
@@ -487,7 +442,7 @@ let run_loop t ?until () =
         let cap acc = function Some x -> Float.min acc x | None -> acc in
         let upper =
           cap (cap 0.05 (Option.map (fun u -> u -. tnow) until))
-            (match Heap.peek t.timers with Some tm -> Some (tm.at -. tnow) | None -> None)
+            (Option.map (fun at -> at -. tnow) (Event_queue.next_at t.timers))
         in
         Float.max 0. upper
       in
@@ -514,7 +469,7 @@ let run_loop t ?until () =
 
 (* ---- lifecycle ------------------------------------------------------- *)
 
-let create ~nodes ~local ~addr_of () =
+let create ~nodes ~local ~addr_of ~outbox () =
   if nodes <= 0 then invalid_arg "Socket.create: nodes must be positive";
   if local < 0 || local >= nodes then invalid_arg "Socket.create: local node out of range";
   let addrs = Array.init nodes (fun i -> sockaddr (addr_of i)) in
@@ -546,13 +501,12 @@ let create ~nodes ~local ~addr_of () =
       conns = [];
       out_conns = Hashtbl.create 8;
       redial_armed = Hashtbl.create 8;
-      out_chans = Hashtbl.create 8;
+      txs = Array.init nodes (fun _ -> Chan.tx ~base:1);
+      outbox;
       in_chans = Hashtbl.create 8;
-      timers = Heap.create ~cmp:(fun a b -> compare (a.at, a.tie) (b.at, b.tie));
-      timer_tie = 0;
+      timers = Event_queue.create ();
       deliver = None;
       control = None;
-      persist = None;
       chan_persist = None;
       sync = None;
       delivered_any = false;
@@ -581,12 +535,13 @@ let create ~nodes ~local ~addr_of () =
       schedule_at t (now t +. retransmit_every) scan
     end
   in
-  schedule_at t (now t +. retransmit_every) scan;
+  (* The first scan runs at once: a ledger left by an earlier process
+     already owes its peers frames. *)
+  schedule_at t 0.0 scan;
   t
 
 let set_deliver t f = t.deliver <- Some f
 let set_control t f = t.control <- Some f
-let set_persist t f = t.persist <- Some f
 let set_sync t f = t.sync <- Some f
 
 let set_chaos t ~config ~seed =
@@ -617,20 +572,24 @@ let set_peer_blocked t ~peer blocked =
 
 let peer_blocked t ~peer = Hashtbl.mem t.blocked peer
 
-let set_next_seq t ~dst v = ignore (Chan.raise_next_seq (out_chan_of t dst).tx v)
+(* Replay reconciliation. Replay regenerates a node's remote sends in
+   channel order, starting at the restored cut's cursor, so each one is
+   recognized by its position: one the ledger already holds needs
+   nothing (it is acked, or pending and re-offered with the tail); one
+   past the ledger's cursor is the crash window — its cause made the
+   write-ahead log but the kill landed before the ledger append — and is
+   recorded now, to ride out with the tail. *)
+let reoffer t ~dst payload =
+  check_remote t "Socket.reoffer" dst;
+  let seq = Chan.assign t.txs.(dst) in
+  if seq >= Outbox.next_seq t.outbox ~dst then Outbox.record_send t.outbox ~dst ~seq payload
 
-let set_acked t ~dst v = ignore (raise_acked t ~dst v)
+let set_next_seq t ~dst v =
+  if dst < 0 || dst >= t.nodes then
+    raise (Dpc_util.Serialize.Corrupt (Printf.sprintf "channel state: peer %d out of range" dst));
+  ignore (Chan.raise_next_seq t.txs.(dst) v)
+
 let set_expected t ~src v = ignore (Chan.raise_expected (in_chan_of t src).rx v)
-
-let sender_next_seq t ~dst = Chan.next_seq (out_chan_of t dst).tx
-
-let requeue t ~dst ~seq payload =
-  let ch = out_chan_of t dst in
-  if seq > ch.o_acked then begin
-    Hashtbl.replace ch.unacked seq payload;
-    ignore (Chan.raise_next_seq ch.tx (seq + 1));
-    ensure_dial t dst
-  end
 
 let channels t : Chan.handle =
   let here node = node = t.local in
@@ -639,18 +598,21 @@ let channels t : Chan.handle =
       (fun ~node ->
         if not (here node) then None
         else
-          let sends = Hashtbl.fold (fun dst ch l -> (dst, ch.tx, ch.o_acked) :: l) t.out_chans [] in
+          let sends =
+            List.filter_map
+              (fun dst ->
+                if dst = t.local then None
+                else Some (dst, tx_of t dst, Outbox.acked t.outbox ~dst))
+              (List.init t.nodes Fun.id)
+          in
           let recvs = Hashtbl.fold (fun src ch l -> (src, ch.rx) :: l) t.in_chans [] in
           Some (Chan.encode Chan_v1 ~sends ~recvs));
     restore =
       (fun ~node blob ->
         if here node then begin
           let sends, recvs = Chan.decode Chan_v1 blob in
-          List.iter
-            (fun (dst, next_seq, acked) ->
-              set_next_seq t ~dst next_seq;
-              set_acked t ~dst acked)
-            sends;
+          (* The acked column is the ledger's, which is never behind it. *)
+          List.iter (fun (dst, next_seq, _) -> set_next_seq t ~dst next_seq) sends;
           List.iter (fun (src, seq) -> set_expected t ~src seq) recvs
         end);
     raise_next_seq = (fun ~src ~dst v -> if here src then set_next_seq t ~dst v);
@@ -658,13 +620,13 @@ let channels t : Chan.handle =
     forget =
       (fun ~node ->
         if here node then begin
-          Hashtbl.reset t.out_chans;
+          Array.iter Chan.reset_tx t.txs;
           Hashtbl.reset t.in_chans
         end);
-    set_persist = (fun f -> t.chan_persist <- Some f);
+    observe = (fun f -> t.chan_persist <- Some f);
   }
 
-let unacked t = Hashtbl.fold (fun _ ch acc -> acc + Hashtbl.length ch.unacked) t.out_chans 0
+let unacked t = Outbox.unacked t.outbox
 
 let stop t = t.stopped <- true
 
@@ -674,6 +636,7 @@ let close t =
   t.conns <- [];
   Hashtbl.reset t.out_conns;
   (try Unix.close t.listen_fd with _ -> ());
+  Outbox.close t.outbox;
   match t.listen_path with
   | Some p -> ( try Unix.unlink p with _ -> ())
   | None -> ()

@@ -22,27 +22,22 @@
     after {!set_sync} has flushed the effects — an ack is a durable
     promise, as {!Reliable}'s crash model demands.
 
-    {b The durable outbox.} The transport does not persist anything
-    itself; it reports through {!set_persist} and expects the host to
-    journal [Sent] records before the first transmission (the
-    persist-before-send discipline, implemented by
-    [Dpc_core.Durable.Outbox]) and to re-offer the unacked tail with
-    {!requeue} after a restart. Closures never cross the wire: senders
-    hand over opaque payload strings ({!send_payload}), receivers get
-    them back through {!set_deliver} — the runtime's remote hook
-    ([Dpc_engine.Runtime.set_remote]) serializes events as journal
-    entries on one side and replays them on the other.
+    {b One sender ledger.} The {!Outbox} passed to {!create} is the
+    transport's only sender-side state besides the sequence cursors:
+    every send is recorded there before its first transmission (the
+    persist-before-send discipline), acks retire frames there, and the
+    retransmit scan and every reconnect re-offer its pending tail — so a
+    process restarted over the same ledger file resumes its unacked
+    sends from the file alone. Receive-watermark advances are channel
+    state and go through {!channels}. Closures never cross the wire:
+    senders hand over opaque payload strings ({!send_payload}),
+    receivers get them back through {!set_deliver} — the runtime's
+    remote hook ([Dpc_engine.Runtime.set_remote]) serializes events as
+    journal entries on one side and replays them on the other, and
+    {!reoffer} reconciles the sends a replay regenerates.
 
     Addresses are ["unix:/path/to.sock"] or ["tcp:host:port"] ({!sockaddr}),
     resolved once, at {!create}. *)
-
-(** What the host must make durable for its outbox, reported
-    synchronously and in order. [Sent] fires BEFORE the frame's first
-    transmission. Receive-watermark advances are channel state and go
-    through {!channels} instead. *)
-type persist_event =
-  | Sent of { dst : int; seq : int; payload : string }
-  | Acked of { dst : int; seq : int }  (** cumulative: every seq [<=] is acked *)
 
 type stats = {
   data_sent : int;
@@ -63,11 +58,14 @@ type stats = {
 
 type t
 
-val create : nodes:int -> local:int -> addr_of:(int -> string) -> unit -> t
+val create : nodes:int -> local:int -> addr_of:(int -> string) -> outbox:Outbox.t -> unit -> t
 (** Bind [addr_of local] and return a transport addressing the whole
-    [nodes]-wide cluster with only [local] hosted here. Peers are dialed
-    on demand (a failed dial retries after 200 ms) and unacked frames
-    are rescanned every 250 ms. @raise Invalid_argument on a bad node
+    [nodes]-wide cluster with only [local] hosted here, its sends kept
+    in [outbox] (which {!close} closes). Peers are dialed on demand (a
+    failed dial retries after 200 ms) and the ledger's unacked frames
+    are rescanned at once and then every 250 ms — frames an earlier
+    process left in the ledger go out without a call from the host.
+    @raise Invalid_argument on a bad node
     count, an out-of-range [local], or an address {!sockaddr} rejects;
     @raise Unix.Unix_error if the listen address cannot be bound. *)
 
@@ -85,27 +83,36 @@ val transport : t -> Transport.t
 
 val send_payload : t -> dst:int -> string -> unit
 (** Queue a payload on channel [(local, dst)]: assigns the next sequence
-    number, reports [Sent] through the persist hook, then transmits (or
-    leaves the frame in the unacked outbox until the peer is dialable).
-    Retransmission and dedup make the delivery exactly-once at the
-    peer's {!set_deliver}. @raise Invalid_argument if [dst] is the local
-    node or out of range. *)
+    number (never below the ledger's cursor), runs the {!set_sync} hook,
+    records the frame in the outbox, then transmits (or leaves it in the
+    ledger until the peer is dialable). Retransmission and dedup make
+    the delivery exactly-once at the peer's {!set_deliver}.
+    @raise Invalid_argument if [dst] is the local node or out of range. *)
+
+val reoffer : t -> dst:int -> string -> unit
+(** Reconcile one remote send regenerated by a write-ahead-log replay
+    (the runtime's [replayed] hook). Replayed sends are counted by
+    channel position from the restored cut's cursor: a position the
+    ledger already holds is skipped, a later one is recorded and rides
+    out with the pending tail. @raise Invalid_argument as
+    {!send_payload}. *)
 
 val set_deliver : t -> (src:int -> payload:string -> unit) -> unit
 (** The data-plane sink: runs exactly once per {!send_payload} at the
     sending process, in channel order, after the watermark advance was
-    reported through the {!channels} handle's [set_persist]. *)
+    reported through the {!channels} handle's [observe]. *)
 
 val set_control : t -> (payload:string -> reply:(string -> unit) -> unit) -> unit
 (** The control-plane handler: a [Ctrl] frame from a control client
     (one that said hello as {!Wire.control_id}) invokes it; [reply]
     queues a [Ctrl] response on the same connection. *)
 
-val set_persist : t -> (persist_event -> unit) -> unit
 val set_sync : t -> (unit -> unit) -> unit
-(** Called once per delivery batch, after the delivery callbacks and
-    before their acks are transmitted — the host flushes its write-ahead
-    log here so no ack ever outruns the durability of its effects. *)
+(** Called before each {!send_payload} records its frame, and once per
+    delivery batch after the delivery callbacks and before their acks
+    are transmitted — the host flushes its write-ahead log here, so
+    neither a ledger record nor an ack ever outruns the durability of
+    its cause. *)
 
 (** {2 Injectable link faults}
 
@@ -137,41 +144,25 @@ val set_chaos : t -> config:Transport.fault_config -> seed:int -> unit
 
 val clear_chaos : t -> unit
 
-(** {2 Restart support} *)
-
-val set_next_seq : t -> dst:int -> int -> unit
-(** Monotonically raise the sender sequence of channel [(local, dst)]. *)
-
-val set_acked : t -> dst:int -> int -> unit
-(** Monotonically raise the cumulative ack watermark of channel
-    [(local, dst)], dropping the frames it covers from the unacked set. *)
-
-val sender_next_seq : t -> dst:int -> int
-(** The sequence the next {!send_payload} toward [dst] would take. After
-    a checkpoint restore this is the cut's cursor — the position
-    replayed remote sends are reconciled against. *)
-
-val requeue : t -> dst:int -> seq:int -> string -> unit
-(** Reload one unacked send from the durable outbox: the frame rejoins
-    the retransmit set without a fresh [Sent] record (it already has
-    one). Sends below the restored ack watermark are dropped. *)
-
 val channels : t -> Chan.handle
 (** The transport's channel state behind the {!Chan.handle} seam, in the
-    [dpc-chan-v1] format (next_seq, acked, expected per channel). Only
-    the local node has state here: [snapshot] of another node is [None],
-    and every operation addressed to another node is ignored. Raises do
-    not report events — the durable outbox, not the journal, is the
-    sender's cursor; [set_persist] observes the [Expected] advances. *)
+    [dpc-chan-v1] format (next_seq, acked, expected per channel; the
+    acked column is read from the ledger and ignored on [restore], since
+    the ledger is never behind a cut). Only the local node has state
+    here: [snapshot] of another node is [None], and every operation
+    addressed to another node is ignored. Raises do not report events —
+    the outbox, not the journal, is the sender's durable cursor;
+    [observe] sees the [Expected] advances. [forget] resets the
+    cursors and receive windows; the ledger is durable and stays. *)
 
 val unacked : t -> int
-(** Outstanding data frames across all channels (the outbox depth). *)
+(** Outstanding data frames across all channels (the ledger's depth). *)
 
 val stop : t -> unit
 (** Make the current (or next) [run] return; idempotent. *)
 
 val close : t -> unit
-(** Close every socket and unlink the Unix listen path. The transport
-    must not be used afterwards. *)
+(** Close every socket and the ledger, and unlink the Unix listen path.
+    The transport must not be used afterwards. *)
 
 val stats : t -> stats

@@ -53,33 +53,18 @@ let of_sim sim : t =
     let messages () = Sim.messages_sent sim
   end)
 
-type direct_event = { at : float; seq : int; action : unit -> unit }
-
 let direct ~nodes:n () : t =
   if n <= 0 then invalid_arg "Transport.direct: nodes must be positive";
-  let queue =
-    Dpc_util.Heap.create ~cmp:(fun a b ->
-      match compare a.at b.at with 0 -> compare a.seq b.seq | c -> c)
-  in
-  let clock = ref 0.0 in
-  let next_seq = ref 0 in
+  let queue = Event_queue.create () in
   let bytes_total = ref 0 in
   let msgs = ref 0 in
-  let schedule_at at action =
-    let seq = !next_seq in
-    incr next_seq;
-    Dpc_util.Heap.push queue { at; seq; action }
-  in
   (module struct
     let name = "direct"
     let nodes = n
     let shards = 1
     let shard_of _ = 0
-    let now () = !clock
-
-    let schedule ~delay k =
-      if delay < 0.0 then invalid_arg "Transport.direct: negative delay";
-      schedule_at (!clock +. delay) k
+    let now () = Event_queue.now queue
+    let schedule ~delay k = Event_queue.schedule queue ~delay k
 
     let schedule_on ~node:_ ~delay k = schedule ~delay k
 
@@ -91,22 +76,10 @@ let direct ~nodes:n () : t =
         failwith (Printf.sprintf "Transport.direct: node %d out of range" dst);
       incr msgs;
       bytes_total := !bytes_total + bytes;
-      schedule_at !clock k
+      Event_queue.schedule queue ~delay:0.0 k
 
     let broadcast = fanout ~nodes send
-
-    let run ?until () =
-      let limit = match until with None -> infinity | Some u -> u in
-      let rec go () =
-        match Dpc_util.Heap.pop queue with
-        | None -> ()
-        | Some ev when ev.at >= limit -> Dpc_util.Heap.push queue ev
-        | Some ev ->
-            clock := Float.max !clock ev.at;
-            ev.action ();
-            go ()
-      in
-      go ()
+    let run ?until () = Event_queue.run ?until queue
 
     let total_bytes () = !bytes_total
     let messages () = !msgs

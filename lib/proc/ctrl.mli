@@ -34,7 +34,7 @@ type request =
   | Status
   | Digest
   | Shutdown  (** stop the event loop; the process exits (no reply) *)
-  | Compact  (** rewrite the durable outbox ledger ([Durable.Outbox.compact]) *)
+  | Compact  (** rewrite the durable outbox ledger ([Dpc_net.Outbox.compact]) *)
   | Block of int  (** partition this daemon from one peer ([Socket.set_peer_blocked]) *)
   | Unblock of int  (** heal the link to that peer *)
 

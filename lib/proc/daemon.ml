@@ -1,4 +1,5 @@
 module Socket = Dpc_net.Socket
+module Outbox = Dpc_net.Outbox
 module Backend = Dpc_core.Backend
 module Durable = Dpc_core.Durable
 module Runtime = Dpc_engine.Runtime
@@ -6,6 +7,7 @@ module Tuple = Dpc_ndlog.Tuple
 
 type t = {
   sock : Socket.t;
+  outbox : Outbox.t;
   runtime : Runtime.t;
   backend : Backend.t;
   durable : Durable.t;
@@ -29,7 +31,8 @@ let rec create ~scheme ~nodes ~local ~addr_of ~dir ?(config = default_config) ?c
   let delp = Dpc_apps.Forwarding.delp () in
   let env = Dpc_apps.Forwarding.env in
   let backend = Backend.make scheme ~delp ~env ~nodes in
-  let sock = Socket.create ~nodes ~local ~addr_of () in
+  let outbox = Outbox.open_ ~dir:(Durable.node_dir dir local) in
+  let sock = Socket.create ~nodes ~local ~addr_of ~outbox () in
   (match chaos with
   | Some (fault_config, seed) -> Socket.set_chaos sock ~config:fault_config ~seed
   | None -> ());
@@ -46,54 +49,16 @@ let rec create ~scheme ~nodes ~local ~addr_of ~dir ?(config = default_config) ?c
       ~disk_nodes:(fun node -> node = local)
       ()
   in
-  let outbox () = Option.get (Durable.outbox durable local) in
-  (* Replay reconciliation: remote sends regenerated while the WAL replays
-     arrive in channel order starting at the restored cut's cursor. A send
-     whose position the outbox already recorded needs nothing (its frame is
-     either acked or in the pending tail re-offered below); a send past the
-     ledger's cursor is the crash window — the arrival made the WAL but the
-     kill landed before the outbox append — so it is recorded now and rides
-     out with the pending tail. *)
-  let replay_pos = Hashtbl.create 4 in
   Runtime.set_remote runtime
     ~is_local:(fun node -> node = local)
     ~ship:(fun ~dst ~bytes:_ ~payload -> Socket.send_payload sock ~dst payload)
-    ~replayed:(fun ~dst ~payload ->
-      let pos =
-        match Hashtbl.find_opt replay_pos dst with
-        | Some p -> p
-        | None -> Socket.sender_next_seq sock ~dst
-      in
-      Hashtbl.replace replay_pos dst (pos + 1);
-      let ob = outbox () in
-      if pos >= Durable.Outbox.next_seq ob ~dst then
-        Durable.Outbox.record_send ob ~dst ~seq:pos payload);
-  Socket.set_persist sock (fun event ->
-      match event with
-      | Socket.Sent { dst; seq; payload } ->
-          (* The WAL group holding this send's cause (the arrival or input
-             being processed right now) must hit disk before the ledger
-             promises the send — otherwise a crash could leave an outbox
-             record whose origin the journal never saw. *)
-          Durable.flush_wal durable local;
-          Durable.Outbox.record_send (outbox ()) ~dst ~seq payload
-      | Socket.Acked { dst; seq } -> Durable.Outbox.record_ack (outbox ()) ~dst ~seq);
-  (* The ack of a delivery batch is a durable promise: flush before acks. *)
+    ~replayed:(fun ~dst ~payload -> Socket.reoffer sock ~dst payload);
+  (* An ack and a ledger record are durable promises: the WAL holding
+     their cause is flushed first. *)
   Socket.set_sync sock (fun () -> Durable.flush_wal durable local);
   Socket.set_deliver sock (fun ~src:_ ~payload -> Runtime.deliver_remote runtime ~node:local payload);
-  let t = { sock; runtime; backend; durable; local } in
-  if Durable.recovered durable local then begin
-    Durable.recover durable local;
-    let ob = outbox () in
-    (* The ledger is the sender's durable cursor — ahead of both the cut
-       and whatever replay just reconciled. *)
-    for dst = 0 to nodes - 1 do
-      if dst <> local then Socket.set_next_seq sock ~dst (Durable.Outbox.next_seq ob ~dst)
-    done;
-    List.iter
-      (fun (dst, seq, payload) -> Socket.requeue sock ~dst ~seq payload)
-      (Durable.Outbox.pending ob)
-  end;
+  let t = { sock; outbox; runtime; backend; durable; local } in
+  if Durable.recovered durable local then Durable.recover durable local;
   Socket.set_control sock (fun ~payload ~reply -> handle_control t ~payload ~reply);
   t
 
@@ -140,10 +105,7 @@ and handle_control t ~payload ~reply =
              fired = rs.fired;
              outputs = rs.outputs;
              wal_entries = (Durable.node_stats t.durable t.local).wal_entries;
-             outbox_bytes =
-               (match Durable.outbox t.durable t.local with
-               | Some ob -> Durable.Outbox.size_bytes ob
-               | None -> 0);
+             outbox_bytes = Outbox.size_bytes t.outbox;
            })
   | Ctrl.Digest ->
       respond
@@ -155,9 +117,7 @@ and handle_control t ~payload ~reply =
            })
   | Ctrl.Shutdown -> Socket.stop t.sock
   | Ctrl.Compact ->
-      (match Durable.outbox t.durable t.local with
-      | Some ob -> Durable.Outbox.compact ob
-      | None -> ());
+      Outbox.compact t.outbox;
       respond Ctrl.Ok
   | Ctrl.Block peer -> (
       match Socket.set_peer_blocked t.sock ~peer true with

@@ -5,19 +5,21 @@
     the real-process stack:
 
     {ul
-    {- {!Dpc_net.Socket} carries the frames and reports persistence
-       obligations; the daemon routes [Sent] records into the durable
-       outbox (after flushing the WAL, so the send's cause is never less
-       durable than the send), [Acked] into the ledger, and [Expected]
-       watermark advances into the journal.}
+    {- {!Dpc_net.Socket} carries the frames over the daemon's
+       {!Dpc_net.Outbox} ledger ([dir/node-<local>/outbox.log]), which
+       it records every send in and retires acks from; its [sync] hook
+       flushes the WAL first, so a send's cause is never less durable
+       than the send. [Expected] watermark advances go into the
+       journal.}
     {- {!Dpc_engine.Runtime.set_remote} turns cross-process shipments
        into serialized journal entries over {!Dpc_net.Socket.send_payload};
        inbound frames apply through {!Dpc_engine.Runtime.deliver_remote}.}
-    {- {!Dpc_core.Durable.attach} with [?disk] puts checkpoints, the WAL,
-       and the outbox under [dir/node-<local>/]. On a restart the daemon
-       finds the manifest, {!Dpc_core.Durable.recover}s (replayed remote
-       sends are reconciled against the outbox by channel position), then
-       re-offers the unacked outbox tail to the transport.}}
+    {- {!Dpc_core.Durable.attach} with [?disk] puts checkpoints and the WAL
+       under [dir/node-<local>/]. On a restart the daemon finds the
+       manifest and {!Dpc_core.Durable.recover}s; replayed remote sends
+       go to {!Dpc_net.Socket.reoffer}, which reconciles them with the
+       ledger by channel position, and the socket re-offers the
+       ledger's unacked tail by itself.}}
 
     The control plane ({!Ctrl}) makes the process drivable from a
     launcher; {!Cluster} uses it to run the transparency oracle. *)

@@ -510,13 +510,14 @@ let reliable_world () =
 
 let socket_world () =
   let dir = Filename.temp_dir "dpc-chan-" "" in
+  let outbox = Outbox.open_ ~dir in
   let sock =
-    Socket.create ~nodes:3 ~local:0 ~addr_of:(Printf.sprintf "unix:%s/n%d.sock" dir) ()
+    Socket.create ~nodes:3 ~local:0 ~addr_of:(Printf.sprintf "unix:%s/n%d.sock" dir) ~outbox ()
   in
   let handle = Socket.channels sock in
-  Socket.set_next_seq sock ~dst:1 5;
-  Socket.set_acked sock ~dst:1 3;
-  Socket.set_next_seq sock ~dst:2 2;
+  handle.raise_next_seq ~src:0 ~dst:1 5;
+  Outbox.record_ack outbox ~dst:1 ~seq:3;
+  handle.raise_next_seq ~src:0 ~dst:2 2;
   handle.raise_expected ~src:2 ~dst:0 7;
   let advance () =
     handle.raise_next_seq ~src:0 ~dst:1 9;
@@ -524,6 +525,7 @@ let socket_world () =
   in
   let close () =
     Socket.close sock;
+    Sys.remove (Filename.concat dir "outbox.log");
     Sys.rmdir dir
   in
   { handle; nodes = [ 0 ]; advance; close }
@@ -569,7 +571,7 @@ let test_reliable_persist_observes_advances () =
   let rel = Reliable.wrap (Transport.direct ~nodes:2 ()) in
   let tr = Reliable.transport rel in
   let events = ref [] in
-  (Reliable.channels rel).set_persist (fun ev -> events := ev :: !events);
+  (Reliable.channels rel).observe (fun ev -> events := ev :: !events);
   Transport.send tr ~src:0 ~dst:1 ~bytes:10 (fun () -> ());
   Transport.run tr;
   let next_seqs = List.filter (function Chan.Next_seq _ -> true | _ -> false) !events

@@ -10,7 +10,7 @@
 
 module Wire = Dpc_net.Wire
 module Socket = Dpc_net.Socket
-module Outbox = Dpc_core.Durable.Outbox
+module Outbox = Dpc_net.Outbox
 
 let check = Alcotest.check
 
@@ -288,6 +288,13 @@ let test_ctrl_roundtrip () =
 (* ------------------------------------------------------------------ *)
 (* A live socket pair: two transports in one process, pumped alternately. *)
 
+(* Node [local] of a [nodes]-wide socket cluster under [dir], with its
+   sender ledger in [dir]/ledger-<local>. *)
+let socket_at dir ~nodes ~local =
+  let addr_of node = Printf.sprintf "unix:%s/n%d.sock" dir node in
+  let outbox = Outbox.open_ ~dir:(Filename.concat dir (Printf.sprintf "ledger-%d" local)) in
+  Socket.create ~nodes ~local ~addr_of ~outbox ()
+
 let pump transports ~until_cond ~tag =
   let deadline = Unix.gettimeofday () +. 10.0 in
   while (not (until_cond ())) && Unix.gettimeofday () < deadline do
@@ -299,9 +306,8 @@ let pump transports ~until_cond ~tag =
 
 let test_socket_pair () =
   with_temp_dir "dpc-sock" (fun dir ->
-      let addr_of node = Printf.sprintf "unix:%s/n%d.sock" dir node in
-      let a = Socket.create ~nodes:2 ~local:0 ~addr_of () in
-      let b = Socket.create ~nodes:2 ~local:1 ~addr_of () in
+      let a = socket_at dir ~nodes:2 ~local:0 in
+      let b = socket_at dir ~nodes:2 ~local:1 in
       Fun.protect
         ~finally:(fun () ->
           Socket.close a;
@@ -311,7 +317,7 @@ let test_socket_pair () =
           Socket.set_deliver a (fun ~src ~payload -> got_a := (src, payload) :: !got_a);
           Socket.set_deliver b (fun ~src ~payload -> got_b := (src, payload) :: !got_b);
           let persist_b = ref [] in
-          (Socket.channels b).set_persist (fun ev -> persist_b := ev :: !persist_b);
+          (Socket.channels b).observe (fun ev -> persist_b := ev :: !persist_b);
           let ta = Socket.transport a and tb = Socket.transport b in
           for i = 1 to 5 do
             Socket.send_payload a ~dst:1 (Printf.sprintf "a->b %d" i)
@@ -350,8 +356,7 @@ let test_socket_pair () =
    raw wire client, so the schedule of arrivals is exact. *)
 let test_socket_held_duplicate_counted () =
   with_temp_dir "dpc-sock" (fun dir ->
-      let addr_of node = Printf.sprintf "unix:%s/n%d.sock" dir node in
-      let b = Socket.create ~nodes:2 ~local:1 ~addr_of () in
+      let b = socket_at dir ~nodes:2 ~local:1 in
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Fun.protect
         ~finally:(fun () ->
@@ -377,12 +382,48 @@ let test_socket_held_duplicate_counted () =
           check (Alcotest.list Alcotest.string) "in order, once each" [ "m1"; "m2"; "m3" ]
             (List.rev !got)))
 
+(* The ledger is the sender's whole state: frames sent to an absent peer
+   survive the sender's process, and a new socket over the same ledger
+   delivers them — exactly once, in order — with no call from the host.
+   A fresh send after the restart continues the channel past them. *)
+let test_socket_restart_from_ledger () =
+  with_temp_dir "dpc-sock" (fun dir ->
+      let a = socket_at dir ~nodes:2 ~local:0 in
+      for i = 1 to 3 do
+        Socket.send_payload a ~dst:1 (Printf.sprintf "m%d" i)
+      done;
+      check Alcotest.int "frames wait in the ledger" 3 (Socket.unacked a);
+      Socket.close a;
+      let a = socket_at dir ~nodes:2 ~local:0 in
+      let b = socket_at dir ~nodes:2 ~local:1 in
+      Fun.protect
+        ~finally:(fun () ->
+          Socket.close a;
+          Socket.close b)
+        (fun () ->
+          let got = ref [] in
+          Socket.set_deliver b (fun ~src ~payload -> got := (src, payload) :: !got);
+          let ta = Socket.transport a and tb = Socket.transport b in
+          pump [ ta; tb ] ~tag:"ledger drains" ~until_cond:(fun () ->
+              List.length !got = 3 && Socket.unacked a = 0);
+          check
+            (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
+            "each once, in order"
+            [ (0, "m1"); (0, "m2"); (0, "m3") ]
+            (List.rev !got);
+          check Alcotest.int "the restarted sender made no fresh send" 0
+            (Socket.stats a).data_sent;
+          Socket.send_payload a ~dst:1 "m4";
+          pump [ ta; tb ] ~tag:"fresh send" ~until_cond:(fun () ->
+              List.length !got = 4 && Socket.unacked a = 0);
+          check (Alcotest.list Alcotest.string) "the channel continues" [ "m1"; "m2"; "m3"; "m4" ]
+            (List.rev_map snd !got)))
+
 (* A data frame that finds the receive window full is refused, counted,
    and left unacked; the peer's resend delivers it once the gap fills. *)
 let test_socket_counts_overflow () =
   with_temp_dir "dpc-sock" (fun dir ->
-      let addr_of node = Printf.sprintf "unix:%s/n%d.sock" dir node in
-      let b = Socket.create ~nodes:2 ~local:1 ~addr_of () in
+      let b = socket_at dir ~nodes:2 ~local:1 in
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Fun.protect
         ~finally:(fun () ->
@@ -494,6 +535,73 @@ let test_disk_recovery () =
             before))
     Dpc_core.Backend.all_schemes
 
+(* Every remote send of the live run — arrivals shipped onward and the
+   remote half of a route refresh's sig broadcasts — must come back out
+   of a crash-and-replay in the same order: the sender's ledger
+   reconciles replayed sends by position, so a missing one shifts every
+   later one. Node 1 is the only node this "process" hosts. *)
+let test_replay_reoffers_remote_sends () =
+  let delp = Dpc_apps.Forwarding.delp () in
+  let env = Dpc_apps.Forwarding.env in
+  let nodes = Dpc_proc.Scenario.nodes in
+  let backend = Dpc_core.Backend.make Dpc_core.Backend.S_advanced ~delp ~env ~nodes in
+  let runtime =
+    Dpc_engine.Runtime.create ~transport:(Dpc_net.Transport.direct ~nodes ()) ~delp ~env
+      ~hook:(Dpc_core.Backend.hook backend) ~nodes:(Dpc_core.Backend.nodes backend) ()
+  in
+  let durable =
+    Dpc_core.Durable.attach ~backend ~runtime ~control:(quiet_control ())
+      ~config:{ Dpc_core.Durable.checkpoint_every = 0; rebase_every = 0 }
+      ()
+  in
+  let live = ref [] and replayed = ref [] in
+  Dpc_engine.Runtime.set_remote runtime
+    ~is_local:(fun node -> node = 1)
+    ~ship:(fun ~dst ~bytes:_ ~payload -> live := (dst, payload) :: !live)
+    ~replayed:(fun ~dst ~payload -> replayed := (dst, payload) :: !replayed);
+  let route = Dpc_apps.Forwarding.route ~at:1 ~dst:2 ~next:2 in
+  let packets tag =
+    List.iter
+      (fun i ->
+        Dpc_engine.Runtime.inject runtime
+          (Dpc_apps.Forwarding.packet ~src:1 ~dst:2 ~payload:(Printf.sprintf "%s%d" tag i)))
+      [ 1; 2 ];
+    Dpc_engine.Runtime.run runtime
+  in
+  Dpc_engine.Runtime.load_slow runtime [ route ];
+  packets "pre";
+  ignore (Dpc_engine.Runtime.delete_slow_runtime runtime route);
+  Dpc_engine.Runtime.insert_slow_runtime runtime route;
+  Dpc_engine.Runtime.run runtime;
+  packets "post";
+  let sigs =
+    List.filter
+      (fun (_, payload) ->
+        match Dpc_engine.Journal.read (Dpc_util.Serialize.reader payload) with
+        | Dpc_engine.Journal.Sig _ -> true
+        | _ -> false)
+      !live
+  in
+  check Alcotest.int "the refresh shipped a sig to each remote node, twice" 4 (List.length sigs);
+  Dpc_core.Durable.crash durable 1;
+  Dpc_core.Durable.recover durable 1;
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
+    "replayed remote sends = live remote sends" (List.rev !live) (List.rev !replayed)
+
+(* A manifest or cut must end where its last field does: a trailing byte
+   is a spliced or corrupted file, refused at attach. *)
+let test_trailing_bytes_rejected file () =
+  with_temp_dir "dpc-trail" (fun dir ->
+      ignore (build_disk_world Dpc_core.Backend.S_advanced dir);
+      let path = Filename.concat (Dpc_core.Durable.node_dir dir 0) file in
+      let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644 in
+      ignore (Unix.write_substring fd "\x00" 0 1);
+      Unix.close fd;
+      match build_disk_world Dpc_core.Backend.S_advanced dir with
+      | _ -> Alcotest.failf "%s with a trailing byte accepted" file
+      | exception Dpc_util.Serialize.Corrupt _ -> ())
+
 let () =
   Alcotest.run "dpc_proc"
     [
@@ -516,7 +624,16 @@ let () =
           Alcotest.test_case "duplex pair" `Quick test_socket_pair;
           Alcotest.test_case "held re-arrival counted" `Quick test_socket_held_duplicate_counted;
           Alcotest.test_case "window overflow counted" `Quick test_socket_counts_overflow;
+          Alcotest.test_case "restart from the ledger alone" `Quick test_socket_restart_from_ledger;
         ] );
       ( "disk recovery",
-        [ Alcotest.test_case "digest equality, all schemes" `Quick test_disk_recovery ] );
+        [
+          Alcotest.test_case "digest equality, all schemes" `Quick test_disk_recovery;
+          Alcotest.test_case "replay re-offers every remote send" `Quick
+            test_replay_reoffers_remote_sends;
+          Alcotest.test_case "manifest trailing bytes rejected" `Quick
+            (test_trailing_bytes_rejected "manifest");
+          Alcotest.test_case "cut trailing bytes rejected" `Quick
+            (test_trailing_bytes_rejected "cut-0.bin");
+        ] );
     ]
